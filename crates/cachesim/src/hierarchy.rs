@@ -23,6 +23,21 @@ fn parked_from(r: i64, st_abs: u64, limit: u64, degree: u32) -> bool {
         && (degree == 1 || (r as u64).saturating_add(st_abs) > limit)
 }
 
+/// Whether a frontier `lead` lines ahead of `line` in the direction of
+/// `stride` lies inside the address space. A stride unit compares its
+/// frontier with the demand line unsigned, so a descending stream whose
+/// frontier has wrapped below line 0 reads as lagging and is reset to the
+/// demand line; the run engine's signed ramp mirror cannot see that, and
+/// its O(1) feeds are only exact while this holds.
+#[inline]
+fn frontier_unwrapped(line: u64, lead: u64, stride: i64) -> bool {
+    if stride > 0 {
+        line.checked_add(lead).is_some()
+    } else {
+        line.checked_sub(lead).is_some()
+    }
+}
+
 /// Kind of a demand memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -135,8 +150,8 @@ impl PrefetchThrottle {
         }
     }
 
-    fn on_hit(&mut self) {
-        self.hits += 1;
+    fn on_hits(&mut self, n: u32) {
+        self.hits += n;
     }
 }
 
@@ -393,7 +408,19 @@ impl Hierarchy {
             }
             return;
         }
-        self.access_run_fast(run);
+        // L1 hits feed no prefetcher and evict nothing, so the run's
+        // leading hits are consumed before the run engine is set up; the
+        // engine starts at the first miss. Splitting a run there is exact
+        // because a split run replays bit-identically to its scalar
+        // expansion.
+        self.stats.total_accesses += run.count;
+        let write = run.kind == AccessKind::Store;
+        let mut line = run.start_line;
+        let mut left = run.count;
+        if let Some(victim) = self.l1_hit_streak(&mut line, &mut left, run.stride_lines, write)
+        {
+            self.access_run_fast(line, left, run.stride_lines, write, victim);
+        }
     }
 
     fn access_line(&mut self, line: u64, kind: AccessKind) -> ServedBy {
@@ -411,26 +438,78 @@ impl Hierarchy {
             return ServedBy { level: self.caches.len(), prefetched: false };
         }
         let write = kind == AccessKind::Store;
-        let nlevels = self.caches.len();
+        let victim = match self.caches[0].access_with_victim(line, write) {
+            AccessOutcome::Hit { first_prefetch_use } => {
+                self.count_l1_hits(1, u32::from(first_prefetch_use));
+                return ServedBy { level: 0, prefetched: first_prefetch_use };
+            }
+            AccessOutcome::Miss { victim } => victim,
+        };
+        let served = self.serve_l1_miss(line, write, victim);
+        // Prefetchers observe the demand stream.
+        self.observe_demand_miss(line);
+        served
+    }
 
-        // One fused pass per missing level remembers the victim slot the
-        // fill will take, so the fill skips its own set scan. Valid
-        // because nothing touches level `k` between its lookup and its
-        // fill: lower-level lookups and fills only operate on deeper
-        // caches, and eviction cascades only flow downward.
+    /// Accounts `hits` L1 demand hits, `first_uses` of them first demand
+    /// uses of prefetched lines.
+    #[inline]
+    fn count_l1_hits(&mut self, hits: u64, first_uses: u32) {
+        let l1 = &mut self.stats.levels[0];
+        l1.demand_hits += hits;
+        l1.prefetch_hits += u64::from(first_uses);
+        self.throttle.on_hits(first_uses);
+    }
+
+    /// Consumes the L1 hits among the next `*left` lines from `*line`,
+    /// `stride` apart, stopping at the first miss: advances `*line` and
+    /// `*left` past the hits and accounts them in one go. Returns the L1
+    /// victim slot of the line that missed (left at `*line`, not yet
+    /// consumed), or `None` when every line hit.
+    #[inline]
+    fn l1_hit_streak(
+        &mut self,
+        line: &mut u64,
+        left: &mut u64,
+        stride: i64,
+        write: bool,
+    ) -> Option<u32> {
+        let streak = self.caches[0].hit_streak(*line, stride, *left, write);
+        *line = line.wrapping_add_signed(stride.wrapping_mul(streak.hits as i64));
+        *left -= streak.hits;
+        self.count_l1_hits(streak.hits, streak.first_uses);
+        streak.missed
+    }
+
+    /// The miss side of one demand access: `line` has just missed L1,
+    /// whose LRU victim slot is `l1_victim`. Looks the line up level by
+    /// level below (one fused pass per level remembers the victim slot
+    /// the fill will take, so the fill skips its own set scan), fills it
+    /// into every level above the serving one and cascades evictions.
+    /// Prefetcher observation is left to the caller.
+    ///
+    /// The remembered victims stay valid because nothing touches level
+    /// `k` between its lookup and its fill: lower-level lookups and
+    /// fills only operate on deeper caches, and eviction cascades only
+    /// flow downward.
+    #[inline]
+    fn serve_l1_miss(&mut self, line: u64, write: bool, l1_victim: u32) -> ServedBy {
+        let nlevels = self.caches.len();
+        self.stats.levels[0].demand_misses += 1;
         let mut victims = [0u32; FUSED_LEVELS];
-        let mut served = None;
+        victims[0] = l1_victim;
+        let mut served = ServedBy { level: nlevels, prefetched: false };
         // The index drives `caches`/`stats.levels` too, not just `victims`.
         #[allow(clippy::needless_range_loop)]
-        for k in 0..nlevels {
-            match self.caches[k].access_with_victim(line, write && k == 0) {
+        for k in 1..nlevels {
+            match self.caches[k].access_with_victim(line, false) {
                 AccessOutcome::Hit { first_prefetch_use } => {
                     self.stats.levels[k].demand_hits += 1;
                     if first_prefetch_use {
                         self.stats.levels[k].prefetch_hits += 1;
-                        self.throttle.on_hit();
+                        self.throttle.on_hits(1);
                     }
-                    served = Some(ServedBy { level: k, prefetched: first_prefetch_use });
+                    served = ServedBy { level: k, prefetched: first_prefetch_use };
                     break;
                 }
                 AccessOutcome::Miss { victim } => {
@@ -441,25 +520,18 @@ impl Hierarchy {
                 }
             }
         }
-        let served = served.unwrap_or_else(|| {
+        if served.level == nlevels {
             self.stats.mem_demand_fills += 1;
-            ServedBy { level: nlevels, prefetched: false }
-        });
-
+        }
         // Fill the line into every level above the serving one (each of
         // which just reported a miss, so the line is provably absent).
-        for k in (0..served.level.min(nlevels)).rev() {
+        for k in (0..served.level).rev() {
             let ev = if k < FUSED_LEVELS {
                 self.caches[k].insert_at(victims[k], line, write && k == 0, false)
             } else {
-                self.caches[k].fill_absent(line, write && k == 0, false)
+                self.caches[k].fill(line, write && k == 0, false)
             };
             self.handle_eviction(k, ev);
-        }
-
-        // Prefetchers observe the demand stream.
-        if served.level >= 1 {
-            self.observe_demand_miss(line);
         }
         served
     }
@@ -497,11 +569,23 @@ impl Hierarchy {
     /// stream provably cannot capture the run's lines. Units at other
     /// levels take the plain per-line observe path (cheap: they are
     /// table-free or inert on every preset).
-    fn access_run_fast(&mut self, run: &AccessRun) {
-        let write = run.kind == AccessKind::Store;
-        let stride = run.stride_lines;
-        let nlevels = self.caches.len();
-        let mut line = run.start_line;
+    ///
+    /// Consumes `count` lines from `start`, `stride` apart, whose first
+    /// line has just missed L1 with victim slot `l1_victim`; every line
+    /// is already counted in `total_accesses`. Between misses the L1 hit
+    /// streaks are consumed by [`Hierarchy::l1_hit_streak`] and never
+    /// reach the lock.
+    fn access_run_fast(
+        &mut self,
+        start: u64,
+        count: u64,
+        stride: i64,
+        write: bool,
+        l1_victim: u32,
+    ) {
+        let mut line = start;
+        let mut left = count;
+        let mut victim = l1_victim;
         // Locked stream index + how many more lines it is provably safe
         // to feed it without re-scanning the table. While locked,
         // `expect_next` is the line the locked stream predicts: an
@@ -533,127 +617,100 @@ impl Hierarchy {
         let st_abs = stride.unsigned_abs();
         let mut units = std::mem::take(&mut self.units);
         let mut buf = std::mem::take(&mut self.pf_buf);
-        for _ in 0..run.count {
-            self.stats.total_accesses += 1;
-            let mut victims = [0u32; FUSED_LEVELS];
-            let mut served_level = nlevels;
-            let mut first_use = false;
-            // The index drives `caches`/`stats.levels` too, not just `victims`.
-            #[allow(clippy::needless_range_loop)]
-            for k in 0..nlevels {
-                match self.caches[k].access_with_victim(line, write && k == 0) {
-                    AccessOutcome::Hit { first_prefetch_use } => {
-                        served_level = k;
-                        first_use = first_prefetch_use;
-                        break;
-                    }
-                    AccessOutcome::Miss { victim } => {
-                        self.stats.levels[k].demand_misses += 1;
-                        if k < FUSED_LEVELS {
-                            victims[k] = victim;
-                        }
-                    }
-                }
+        loop {
+            // `line` missed L1: serve it, then feed the prefetchers.
+            self.serve_l1_miss(line, write, victim);
+            // Level-0 unit: plain per-miss observe (next-line and
+            // adjacent-pair units are O(1) and table-free).
+            if let Some(u0) = units.first_mut() {
+                self.observe_unit(0, u0.as_mut(), line, &mut buf);
             }
-            if served_level == nlevels {
-                self.stats.mem_demand_fills += 1;
-            } else {
-                self.stats.levels[served_level].demand_hits += 1;
-                if first_use {
-                    self.stats.levels[served_level].prefetch_hits += 1;
-                    self.throttle.on_hit();
-                }
-            }
-            for k in (0..served_level.min(nlevels)).rev() {
-                let ev = if k < FUSED_LEVELS {
-                    self.caches[k].insert_at(victims[k], line, write && k == 0, false)
+            // Level-1 unit: the expected-stream lock.
+            if let Some(p) = units.get_mut(1).map(Box::as_mut) {
+                if p.disabled() {
+                    p.tick(1);
                 } else {
-                    self.caches[k].fill_absent(line, write && k == 0, false)
-                };
-                self.handle_eviction(k, ev);
-            }
-            if served_level >= 1 {
-                // Level-0 unit: plain per-miss observe (next-line and
-                // adjacent-pair units are O(1) and table-free).
-                if let Some(u0) = units.first_mut() {
-                    self.observe_unit(0, u0.as_mut(), line, &mut buf);
-                }
-                // Level-1 unit: the expected-stream lock.
-                if let Some(p) = units.get_mut(1).map(Box::as_mut) {
-                    if p.disabled() {
-                        p.tick(1);
-                    } else {
-                        match locked {
-                            Some(f) if safe_left > 0 && line == expect_next => {
-                                safe_left -= 1;
-                                expect_next = line.wrapping_add_signed(stride);
-                                // Ramp span: frontier lead gained per
-                                // full-degree feed.
-                                let span =
-                                    st_abs.saturating_mul(u64::from(degree).saturating_sub(1));
-                                if parked {
-                                    let pline = p.feed_parked(f, line);
-                                    self.issue_prefetches(1, std::slice::from_ref(&pline));
-                                } else if has_ramp
-                                    && ramp_r >= st_abs as i64
-                                    && (ramp_r as u64).saturating_add(span) <= ramp_limit
-                                    && self.throttle.denies_run(degree)
-                                {
-                                    // Exactly `degree` pushes, all denied:
-                                    // O(1) transition, nothing issued.
-                                    p.feed_denied(f, line);
-                                    self.throttle.consume_denied(degree);
-                                    ramp_r += span as i64;
-                                    parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
-                                } else {
-                                    buf.clear();
-                                    p.observe_expected(f, line, &mut buf);
-                                    if has_ramp {
-                                        if let Some((r, _, _)) = p.ramp_state(f) {
-                                            ramp_r = r;
-                                        }
-                                        parked =
-                                            parked_from(ramp_r, st_abs, ramp_limit, degree);
-                                    }
-                                    if !buf.is_empty() {
-                                        self.issue_prefetches(1, &buf);
-                                    }
-                                }
-                            }
-                            _ => {
+                    match locked {
+                        Some(f) if safe_left > 0 && line == expect_next => {
+                            safe_left -= 1;
+                            expect_next = line.wrapping_add_signed(stride);
+                            // Ramp span: frontier lead gained per
+                            // full-degree feed.
+                            let span =
+                                st_abs.saturating_mul(u64::from(degree).saturating_sub(1));
+                            // Both O(1) paths assume the frontier is
+                            // `ramp_r - |stride|` lines ahead of `line`
+                            // without wrapping past either end of the
+                            // address space.
+                            let lead = ramp_r.saturating_sub(st_abs as i64).max(0) as u64;
+                            let unwrapped = frontier_unwrapped(line, lead, stride);
+                            if parked && unwrapped {
+                                let pline = p.feed_parked(f, line);
+                                self.issue_prefetches(1, std::slice::from_ref(&pline));
+                            } else if has_ramp
+                                && unwrapped
+                                && ramp_r >= st_abs as i64
+                                && (ramp_r as u64).saturating_add(span) <= ramp_limit
+                                && self.throttle.denies_run(degree)
+                            {
+                                // Exactly `degree` pushes, all denied:
+                                // O(1) transition, nothing issued.
+                                p.feed_denied(f, line);
+                                self.throttle.consume_denied(degree);
+                                ramp_r += span as i64;
+                                parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
+                            } else {
                                 buf.clear();
-                                locked = p.observe_into(line, &mut buf);
-                                safe_left = 0;
-                                parked = false;
-                                has_ramp = false;
-                                if let Some(f) = locked {
-                                    let next = line.wrapping_add_signed(stride);
-                                    if p.expects(f, next) {
-                                        safe_left = p.capture_free_steps(f, next, stride);
-                                        expect_next = next;
-                                        if let Some((r, limit, d)) = p.ramp_state(f) {
-                                            has_ramp = true;
-                                            ramp_r = r;
-                                            ramp_limit = limit;
-                                            degree = d;
-                                            parked =
-                                                parked_from(ramp_r, st_abs, ramp_limit, degree);
-                                        }
+                                p.observe_expected(f, line, &mut buf);
+                                if has_ramp {
+                                    if let Some((r, _, _)) = p.ramp_state(f) {
+                                        ramp_r = r;
                                     }
+                                    parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
                                 }
                                 if !buf.is_empty() {
                                     self.issue_prefetches(1, &buf);
                                 }
                             }
                         }
+                        _ => {
+                            buf.clear();
+                            locked = p.observe_into(line, &mut buf);
+                            safe_left = 0;
+                            parked = false;
+                            has_ramp = false;
+                            if let Some(f) = locked {
+                                let next = line.wrapping_add_signed(stride);
+                                if p.expects(f, next) {
+                                    safe_left = p.capture_free_steps(f, next, stride);
+                                    expect_next = next;
+                                    if let Some((r, limit, d)) = p.ramp_state(f) {
+                                        has_ramp = true;
+                                        ramp_r = r;
+                                        ramp_limit = limit;
+                                        degree = d;
+                                        parked =
+                                            parked_from(ramp_r, st_abs, ramp_limit, degree);
+                                    }
+                                }
+                            }
+                            if !buf.is_empty() {
+                                self.issue_prefetches(1, &buf);
+                            }
+                        }
                     }
                 }
-                // Deeper units (inert on every real preset): plain observe.
-                for (k, u) in units.iter_mut().enumerate().skip(2) {
-                    self.observe_unit(k, u.as_mut(), line, &mut buf);
-                }
+            }
+            // Deeper units (inert on every real preset): plain observe.
+            for (k, u) in units.iter_mut().enumerate().skip(2) {
+                self.observe_unit(k, u.as_mut(), line, &mut buf);
             }
             line = line.wrapping_add_signed(stride);
+            left -= 1;
+            match self.l1_hit_streak(&mut line, &mut left, stride, write) {
+                Some(v) => victim = v,
+                None => break,
+            }
         }
         buf.clear();
         self.pf_buf = buf;
@@ -686,14 +743,14 @@ impl Hierarchy {
             // [`Hierarchy::prefetch_fill`]) would provably succeed and is
             // skipped.
             for k in (level..=last).rev() {
-                if self.caches[k].probe(pline) {
+                let Some(victim) = self.caches[k].absent_victim(pline) else {
                     continue;
-                }
+                };
                 if k == last {
                     self.stats.mem_prefetch_fills += 1;
                 }
                 self.stats.levels[k].prefetch_fills += 1;
-                let ev = self.caches[k].fill_absent(pline, false, true);
+                let ev = self.caches[k].insert_at(victim, pline, false, true);
                 self.handle_eviction(k, ev);
             }
             self.throttle.on_fill();
@@ -703,16 +760,17 @@ impl Hierarchy {
     /// Fills `line` into level `k` as a prefetch, accounting bus traffic
     /// when the line came from memory.
     fn prefetch_fill(&mut self, k: usize, line: u64) {
-        if self.caches[k].probe(line) {
+        let Some(victim) = self.caches[k].absent_victim(line) else {
             return;
-        }
-        // Where does the prefetched data come from?
+        };
+        // Where does the prefetched data come from? (Probing the lower
+        // levels leaves level `k`, and so `victim`, untouched.)
         let in_lower = (k + 1..self.caches.len()).any(|j| self.caches[j].probe(line));
         if !in_lower {
             self.stats.mem_prefetch_fills += 1;
         }
         self.stats.levels[k].prefetch_fills += 1;
-        let ev = self.caches[k].fill_absent(line, false, true);
+        let ev = self.caches[k].insert_at(victim, line, false, true);
         self.handle_eviction(k, ev);
     }
 
@@ -1053,32 +1111,50 @@ mod tests {
         }
     }
 
+    /// Checked on the single-thread hierarchy and on the per-thread one a
+    /// parallel schedule is simulated on (ways split between co-resident
+    /// threads), each cold and after a scalar warm-up of the run's first
+    /// half — every line, or every third — so the run opens on L1 hits
+    /// and the hand-off from the hit prefix to the run engine is checked.
     fn assert_run_matches_scalar_on(
         arch: &palo_arch::Architecture,
         stride_lines: i64,
         count: u64,
         kind: AccessKind,
     ) {
-        let mut fast = Hierarchy::from_architecture(arch);
-        let mut slow = Hierarchy::from_architecture(arch);
-        let start_line = 1 << 14;
-        fast.access_run(&AccessRun { start_line, stride_lines, count, kind });
-        let mut line = start_line;
-        for _ in 0..count {
-            slow.access_line(line, kind);
-            line = line.wrapping_add_signed(stride_lines);
+        let start_line: u64 = 1 << 14;
+        let lines = |n: u64| {
+            (0..n).map(move |i| start_line.wrapping_add_signed(stride_lines * i as i64))
+        };
+        for (threads, cores) in [(1, 1), (2, arch.cores)] {
+            for warm_every in [0usize, 1, 3] {
+                let what = format!(
+                    "{}: stride {stride_lines}, {threads}x{cores} threads, warm every {warm_every}",
+                    arch.name
+                );
+                let mut fast = Hierarchy::with_effective_sharing(arch, threads, cores);
+                if warm_every > 0 {
+                    for line in lines(count / 2).step_by(warm_every) {
+                        fast.access_line(line, AccessKind::Load);
+                    }
+                }
+                let mut slow = fast.clone();
+                fast.access_run(&AccessRun { start_line, stride_lines, count, kind });
+                for line in lines(count) {
+                    slow.access_line(line, kind);
+                }
+                assert_eq!(fast.stats(), slow.stats(), "{what}");
+                // And the state is equivalent too: a probe stream
+                // afterwards behaves identically.
+                let probe =
+                    AccessRun { start_line, stride_lines, count, kind: AccessKind::Load };
+                fast.access_run(&probe);
+                for line in lines(count) {
+                    slow.access_line(line, AccessKind::Load);
+                }
+                assert_eq!(fast.stats(), slow.stats(), "{what}: reprobe");
+            }
         }
-        assert_eq!(fast.stats(), slow.stats(), "{}: stride {stride_lines}", arch.name);
-        // And the state is equivalent too: a probe stream afterwards
-        // behaves identically.
-        let probe = AccessRun { start_line, stride_lines, count, kind: AccessKind::Load };
-        fast.access_run(&probe);
-        let mut line = start_line;
-        for _ in 0..count {
-            slow.access_line(line, AccessKind::Load);
-            line = line.wrapping_add_signed(stride_lines);
-        }
-        assert_eq!(fast.stats(), slow.stats(), "{}: reprobe {stride_lines}", arch.name);
     }
 
     #[test]
