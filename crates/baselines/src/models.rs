@@ -46,6 +46,14 @@ impl CostModel for TssModel {
     ) -> Option<CostBreakdown> {
         PrefetchAwareModel::named("tss").evaluate(ctx, point)
     }
+    fn evaluate_tile(
+        &self,
+        ctx: &TileContext<'_>,
+        tile: &[usize],
+        visit: &mut dyn FnMut(usize, usize, &CostBreakdown),
+    ) {
+        PrefetchAwareModel::named("tss").evaluate_tile(ctx, tile, visit)
+    }
 }
 
 /// The TTS/TurboTiling cost model: [`TssModel`]'s scoring against the
@@ -65,6 +73,14 @@ impl CostModel for TtsModel {
         point: &CandidatePoint<'_>,
     ) -> Option<CostBreakdown> {
         PrefetchAwareModel::named("tts").evaluate(ctx, point)
+    }
+    fn evaluate_tile(
+        &self,
+        ctx: &TileContext<'_>,
+        tile: &[usize],
+        visit: &mut dyn FnMut(usize, usize, &CostBreakdown),
+    ) {
+        PrefetchAwareModel::named("tts").evaluate_tile(ctx, tile, visit)
     }
 }
 

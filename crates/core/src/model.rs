@@ -8,9 +8,10 @@
 //!
 //! * [`CostModel`] — the trait every model implements: score one
 //!   [`CandidatePoint`] under a [`TileContext`] into a per-term
-//!   [`CostBreakdown`], plus an *admissible* [`CostModel::lower_bound`]
-//!   hook so the search engine's branch-and-bound pruning stays sound
-//!   per-model;
+//!   [`CostBreakdown`] (or a whole temporal tile's `(x, u)` sweep, via
+//!   [`CostModel::evaluate_tile`]), plus an *admissible*
+//!   [`CostModel::lower_bound`] hook so the search engine's
+//!   branch-and-bound pruning stays sound per-model;
 //! * [`PrefetchAwareModel`] — the paper's analytical model, hoisted
 //!   bit-for-bit out of [`crate::temporal`] / [`crate::spatial`] (which
 //!   are now thin candidate-enumeration drivers);
@@ -393,6 +394,40 @@ pub trait CostModel: Send + Sync {
         ctx: &TileContext<'_>,
         point: &CandidatePoint<'_>,
     ) -> Option<CostBreakdown>;
+
+    /// Algorithm 2's inner sweep: scores every `(x, u)` point of a
+    /// temporal `tile` and calls `visit(x, u, breakdown)` for each
+    /// feasible one, `x` outer and `u` inner, both ascending. It must
+    /// visit exactly the points [`CostModel::evaluate`] scores `Some`,
+    /// with the same bits. The default evaluates point by point; a model
+    /// whose terms do not all depend on `(x, u)` overrides it to compute
+    /// them once per tile.
+    fn evaluate_tile(
+        &self,
+        ctx: &TileContext<'_>,
+        tile: &[usize],
+        visit: &mut dyn FnMut(usize, usize, &CostBreakdown),
+    ) {
+        sweep_points(self, ctx, tile, visit);
+    }
+}
+
+/// The point-by-point `(x, u)` sweep behind the default
+/// [`CostModel::evaluate_tile`].
+fn sweep_points<M: CostModel + ?Sized>(
+    model: &M,
+    ctx: &TileContext<'_>,
+    tile: &[usize],
+    visit: &mut dyn FnMut(usize, usize, &CostBreakdown),
+) {
+    for x in 0..ctx.n {
+        for u in 0..ctx.n {
+            let point = CandidatePoint { tile, x: Some(x), u: Some(u) };
+            if let Some(bd) = model.evaluate(ctx, &point) {
+                visit(x, u, &bd);
+            }
+        }
+    }
 }
 
 /// The paper's analytical model (Eqs. 1–19), bit-for-bit the arithmetic
@@ -418,87 +453,6 @@ impl PrefetchAwareModel {
     /// context, per [`ModelKind::effective_config`]).
     pub fn named(label: &'static str) -> Self {
         PrefetchAwareModel { label }
-    }
-
-    /// Temporal scoring (Algorithm 2's inner loop): feasibility
-    /// (Eqs. 1, 6, 13) then `Ctotal = a2·CL1 + a3·CL2 + am·CL2_lines`
-    /// (Eqs. 10–11). The float-operation order matches the pre-refactor
-    /// optimizer exactly: the golden-decision snapshots assert the
-    /// decisions stay bit-identical.
-    fn evaluate_temporal(
-        &self,
-        ctx: &TileContext<'_>,
-        point: &CandidatePoint<'_>,
-    ) -> Option<CostBreakdown> {
-        let tile = point.tile;
-        let (x, u) = (point.x?, point.u?);
-        if x == ctx.col || tile[x] <= 1 {
-            return None;
-        }
-
-        // Working set of the whole tile (Eq. 6).
-        let mut ws_l2 = 0.0;
-        let mut rows_tile = vec![0.0f64; ctx.na];
-        let mut lines_tile = vec![0.0f64; ctx.na];
-        for a in 0..ctx.na {
-            let (elems, rows, lines) = ctx.terms(a, tile);
-            ws_l2 += elems;
-            rows_tile[a] = rows;
-            lines_tile[a] = lines;
-        }
-        if ws_l2 > ctx.l2_budget {
-            return None;
-        }
-
-        let trips: Vec<f64> = (0..ctx.n).map(|v| inter_trip(v, tile, ctx.extents)).collect();
-        let ntiles: f64 = trips.iter().product();
-        let cl1: f64 = rows_tile.iter().sum::<f64>() * ntiles;
-        let cl1_lines: f64 = lines_tile.iter().sum::<f64>() * ntiles;
-
-        // Working set of one iteration of the outermost intra loop
-        // (Eq. 1).
-        let mut slice = tile.to_vec();
-        slice[x] = 1;
-        let ws_l1: f64 = (0..ctx.na).map(|a| ctx.terms(a, &slice).0).sum();
-        if ws_l1 > ctx.l1_budget {
-            return None;
-        }
-
-        if ctx.config.parallel_grain_constraint {
-            // Eq. 13: the parallelizable outer inter-tile loops (all but
-            // the innermost-inter `u` and the column loop) must provide
-            // at least one iteration per hardware thread.
-            let outer_cap: f64 =
-                (0..ctx.n).filter(|&v| v != u && v != ctx.col).map(|v| trips[v]).product();
-            if outer_cap < ctx.threads as f64 {
-                return None;
-            }
-        }
-
-        // Eq. 10 generalized.
-        let mut cl2 = 0.0;
-        let mut cl2_lines = 0.0;
-        for a in 0..ctx.na {
-            let reuse = if ctx.fp.uses_var(a, u) { 1.0 } else { trips[u] };
-            cl2 += rows_tile[a] * ntiles / reuse;
-            cl2_lines += lines_tile[a] * ntiles / reuse;
-        }
-        let total = ctx.a2 * cl1 + ctx.a3 * cl2 + ctx.am * cl2_lines;
-        // Undiscounted (line-granular) variant of the cost, used to break
-        // ties: the prefetch-discounted model (Eq. 3) makes row cost
-        // independent of row length, so candidates that differ only in
-        // memory-bus traffic score identically; the line footprint is
-        // exactly that traffic.
-        let tie = ctx.a2 * cl1_lines + ctx.a3 * cl2_lines;
-        Some(CostBreakdown {
-            cl1,
-            cl2,
-            cl2_lines,
-            corder: 0.0,
-            pref_efficiency: tile[ctx.col] as f64 / ctx.fp.lc() as f64,
-            total,
-            tie,
-        })
     }
 
     /// Spatial scoring (Algorithm 3): working sets of Eqs. 18–19, then
@@ -553,6 +507,143 @@ impl PrefetchAwareModel {
     }
 }
 
+/// The paper model's temporal terms for one tile, each computed at the
+/// granularity it depends on: the Eq. 6 working set, the inter-tile trips,
+/// `ntiles` and `CL1` once per tile; the Eq. 1 slice check once per `x`;
+/// the Eq. 13 grain check and `CL2` (Eq. 10) once per `u`. Both the
+/// per-point [`CostModel::evaluate`] and the per-tile
+/// [`CostModel::evaluate_tile`] of [`PrefetchAwareModel`] score through
+/// it, so Eqs. 1/6/10/11/13 exist in this one place. The float-operation
+/// order matches the pre-refactor optimizer exactly: the golden-decision
+/// snapshots assert the decisions stay bit-identical.
+struct TemporalTile<'t, 'a> {
+    ctx: &'t TileContext<'a>,
+    tile: &'t [usize],
+    /// Prefetch-discounted misses of the tile, per access shape.
+    rows: Vec<f64>,
+    /// Line footprint of the tile, per access shape.
+    lines: Vec<f64>,
+    /// Inter-tile trip count, per variable.
+    trips: Vec<f64>,
+    ntiles: f64,
+    cl1: f64,
+    cl1_lines: f64,
+}
+
+impl<'t, 'a> TemporalTile<'t, 'a> {
+    /// The tile-level terms, or `None` when the tile's working set
+    /// overflows the L2 budget (Eq. 6).
+    fn new(ctx: &'t TileContext<'a>, tile: &'t [usize]) -> Option<Self> {
+        let mut ws_l2 = 0.0;
+        let mut rows = Vec::with_capacity(ctx.na);
+        let mut lines = Vec::with_capacity(ctx.na);
+        for a in 0..ctx.na {
+            let (elems, r, l) = ctx.terms(a, tile);
+            ws_l2 += elems;
+            rows.push(r);
+            lines.push(l);
+        }
+        if ws_l2 > ctx.l2_budget {
+            return None;
+        }
+        let trips: Vec<f64> = (0..ctx.n).map(|v| inter_trip(v, tile, ctx.extents)).collect();
+        let ntiles: f64 = trips.iter().product();
+        let cl1 = rows.iter().sum::<f64>() * ntiles;
+        let cl1_lines = lines.iter().sum::<f64>() * ntiles;
+        Some(TemporalTile { ctx, tile, rows, lines, trips, ntiles, cl1, cl1_lines })
+    }
+
+    /// Whether `x` can be the outermost intra-tile loop: not the column
+    /// loop, not a degenerate dimension, and one of its iterations fits
+    /// the L1 budget (Eq. 1). `slice` holds the tile on entry and on
+    /// return.
+    fn x_fits(&self, x: usize, slice: &mut [usize]) -> bool {
+        let ctx = self.ctx;
+        if x == ctx.col || self.tile[x] <= 1 {
+            return false;
+        }
+        slice[x] = 1;
+        let ws_l1: f64 = (0..ctx.na).map(|a| ctx.terms(a, slice).0).sum();
+        slice[x] = self.tile[x];
+        if ws_l1 > ctx.l1_budget {
+            return false;
+        }
+        true
+    }
+
+    /// The breakdown with `u` as the innermost inter-tile loop: the
+    /// parallel-grain check (Eq. 13), then `CL2` (Eq. 10 generalized) and
+    /// `Ctotal = a2·CL1 + a3·CL2 + am·CL2_lines` (Eq. 11). Independent of
+    /// `x`.
+    fn score(&self, u: usize) -> Option<CostBreakdown> {
+        let ctx = self.ctx;
+        if ctx.config.parallel_grain_constraint {
+            // Eq. 13: the parallelizable outer inter-tile loops (all but
+            // the innermost-inter `u` and the column loop) must provide
+            // at least one iteration per hardware thread.
+            let outer_cap: f64 =
+                (0..ctx.n).filter(|&v| v != u && v != ctx.col).map(|v| self.trips[v]).product();
+            if outer_cap < ctx.threads as f64 {
+                return None;
+            }
+        }
+
+        let mut cl2 = 0.0;
+        let mut cl2_lines = 0.0;
+        for a in 0..ctx.na {
+            let reuse = if ctx.fp.uses_var(a, u) { 1.0 } else { self.trips[u] };
+            cl2 += self.rows[a] * self.ntiles / reuse;
+            cl2_lines += self.lines[a] * self.ntiles / reuse;
+        }
+        let total = ctx.a2 * self.cl1 + ctx.a3 * cl2 + ctx.am * cl2_lines;
+        // Undiscounted (line-granular) variant of the cost, used to break
+        // ties: the prefetch-discounted model (Eq. 3) makes row cost
+        // independent of row length, so candidates that differ only in
+        // memory-bus traffic score identically; the line footprint is
+        // exactly that traffic.
+        let tie = ctx.a2 * self.cl1_lines + ctx.a3 * cl2_lines;
+        Some(CostBreakdown {
+            cl1: self.cl1,
+            cl2,
+            cl2_lines,
+            corder: 0.0,
+            pref_efficiency: self.tile[ctx.col] as f64 / ctx.fp.lc() as f64,
+            total,
+            tie,
+        })
+    }
+
+    /// One `(x, u)` point.
+    fn point(&self, x: usize, u: usize) -> Option<CostBreakdown> {
+        let mut slice = self.tile.to_vec();
+        if !self.x_fits(x, &mut slice) {
+            return None;
+        }
+        self.score(u)
+    }
+
+    /// Every feasible `(x, u)` point: `n` scores and at most `n` slice
+    /// checks, instead of `n²` full evaluations.
+    fn sweep(&self, visit: &mut dyn FnMut(usize, usize, &CostBreakdown)) {
+        let scores: Vec<Option<CostBreakdown>> =
+            (0..self.ctx.n).map(|u| self.score(u)).collect();
+        if scores.iter().all(Option::is_none) {
+            return;
+        }
+        let mut slice = self.tile.to_vec();
+        for x in 0..self.ctx.n {
+            if !self.x_fits(x, &mut slice) {
+                continue;
+            }
+            for (u, bd) in scores.iter().enumerate() {
+                if let Some(bd) = bd {
+                    visit(x, u, bd);
+                }
+            }
+        }
+    }
+}
+
 impl CostModel for PrefetchAwareModel {
     fn name(&self) -> &'static str {
         self.label
@@ -564,21 +655,7 @@ impl CostModel for PrefetchAwareModel {
     /// few hundred points at most).
     fn lower_bound(&self, ctx: &TileContext<'_>, tile: &[usize]) -> Option<f64> {
         match ctx.class {
-            Class::Temporal => {
-                let mut ws_l2 = 0.0;
-                let mut rows_sum = 0.0;
-                for a in 0..ctx.na {
-                    let (elems, rows, _) = ctx.terms(a, tile);
-                    ws_l2 += elems;
-                    rows_sum += rows;
-                }
-                if ws_l2 > ctx.l2_budget {
-                    return None;
-                }
-                let ntiles: f64 =
-                    (0..ctx.n).map(|v| inter_trip(v, tile, ctx.extents)).product();
-                Some(ctx.a2 * (rows_sum * ntiles))
-            }
+            Class::Temporal => TemporalTile::new(ctx, tile).map(|t| ctx.a2 * t.cl1),
             _ => Some(0.0),
         }
     }
@@ -589,8 +666,31 @@ impl CostModel for PrefetchAwareModel {
         point: &CandidatePoint<'_>,
     ) -> Option<CostBreakdown> {
         match ctx.class {
-            Class::Temporal => self.evaluate_temporal(ctx, point),
+            Class::Temporal => {
+                let (x, u) = (point.x?, point.u?);
+                TemporalTile::new(ctx, point.tile)?.point(x, u)
+            }
             _ => self.evaluate_spatial(ctx, point),
+        }
+    }
+
+    /// Temporal tiles compute their tile-level terms once, each `x`'s
+    /// Eq. 1 check once and each `u`'s score once, then visit the
+    /// feasible cross-product; the spatial class has no `(x, u)` choice
+    /// and scores point by point.
+    fn evaluate_tile(
+        &self,
+        ctx: &TileContext<'_>,
+        tile: &[usize],
+        visit: &mut dyn FnMut(usize, usize, &CostBreakdown),
+    ) {
+        match ctx.class {
+            Class::Temporal => {
+                if let Some(t) = TemporalTile::new(ctx, tile) {
+                    t.sweep(visit);
+                }
+            }
+            _ => sweep_points(self, ctx, tile, visit),
         }
     }
 }
