@@ -171,7 +171,9 @@ pub struct SearchOptions {
     pub threads: Option<usize>,
     /// Branch-and-bound pruning against the shared incumbent.
     pub prune: bool,
-    /// Memoize `emu()` bounds and per-reference footprint terms.
+    /// Consult the process-wide `emu()` memo for Algorithm-1 bounds —
+    /// the only memo the search has. Footprint terms are always computed
+    /// directly.
     pub memo: bool,
 }
 
@@ -182,7 +184,8 @@ impl Default for SearchOptions {
 }
 
 impl SearchOptions {
-    /// The pre-engine behavior: sequential, exhaustive, uncached. The
+    /// The pre-engine behavior: sequential, exhaustive, and recomputing
+    /// every `emu()` bound instead of reading the memo. The
     /// determinism/soundness tests and the bench harness use this as the
     /// ground truth to compare against.
     pub fn exhaustive() -> Self {

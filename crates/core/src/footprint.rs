@@ -16,7 +16,9 @@
 //!
 //! Which estimate applies is a property of the target's prefetchers, not
 //! of the model: [`Coverage`] names the three regimes and
-//! [`Footprints::misses_for`] selects among them.
+//! [`Footprints::misses_for`] selects among them. The analytical models
+//! read all three through [`Footprints::terms`], one allocation-free pass
+//! per access; the separate methods are its reference.
 
 use palo_ir::{ArrayId, LoopNest};
 use std::collections::BTreeSet;
@@ -179,6 +181,37 @@ impl Footprints {
             Coverage::Pairs => self.pairs(a, sizes),
             Coverage::Rows => self.rows(a, sizes),
         }
+    }
+
+    /// `(elems, misses_for(coverage), lines)` of shape `a` in one
+    /// allocation-free pass over its dimensions — the hot path of the
+    /// analytical models. Bit-identical to the three separate calls: the
+    /// same per-dimension extents and the same left-to-right products,
+    /// with `head` the product of the leading extents.
+    pub fn terms(&self, a: usize, sizes: &[usize], coverage: Coverage) -> (f64, f64, f64) {
+        let dims = &self.shapes[a].dims;
+        let Some((last, rest)) = dims.split_last() else {
+            return (1.0, 1.0, 1.0);
+        };
+        let extent = |terms: &[(usize, i64)]| {
+            let mut s = 0.0;
+            for &(v, c) in terms {
+                s += c as f64 * (sizes[v].saturating_sub(1)) as f64;
+            }
+            1.0 + s
+        };
+        let mut head = 1.0;
+        for terms in rest {
+            head *= extent(terms);
+        }
+        let e_last = extent(last);
+        let nlines = (e_last / self.lc as f64).ceil().max(1.0);
+        let misses = match coverage {
+            Coverage::None => head * nlines,
+            Coverage::Pairs => head * (nlines / 2.0).ceil(),
+            Coverage::Rows => head,
+        };
+        (head * e_last, misses, head * nlines)
     }
 
     /// Whether shape `a` depends on variable `v`.

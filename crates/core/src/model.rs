@@ -41,7 +41,7 @@ use crate::error::{catch_panic, PaloError};
 use crate::footprint::{Coverage, Footprints};
 use crate::order::inter_trip;
 use crate::post;
-use crate::search::{MemoTable, SearchCounters};
+use crate::search::SearchCounters;
 use palo_arch::{Architecture, PrefetcherConfig, SharingScope};
 use palo_exec::{estimate_time_with, TimeEstimate, TraceOptions};
 use palo_ir::LoopNest;
@@ -130,10 +130,13 @@ pub fn coverage_of(arch: &Architecture, config: &OptimizerConfig) -> Coverage {
 /// Everything a [`CostModel`] may consult about the nest under
 /// optimization, shared read-only across the search worker pool.
 ///
-/// The context owns the per-search memo for footprint terms (keyed by
-/// `(shape, sizes projected onto the shape's variables)`) and holds the
-/// derived weights and budgets the analytical model uses, so the
-/// optimizers themselves contain no cost arithmetic.
+/// The context holds the derived weights and budgets the analytical
+/// model uses, so the optimizers themselves contain no cost arithmetic.
+/// Footprint terms are computed directly on every call
+/// ([`TileContext::terms`]): a few multiply-adds per array dimension,
+/// cheaper than any lookup. The only memo left is the process-wide one
+/// for Algorithm-1 `emu()` bounds, which the context consults when
+/// `SearchOptions::memo` is on.
 pub struct TileContext<'a> {
     /// The nest being optimized.
     pub nest: &'a LoopNest,
@@ -176,9 +179,6 @@ pub struct TileContext<'a> {
     /// Whether the emitted schedule will use non-temporal stores (the
     /// [`SimulatedModel`] scores candidates under the same hint).
     pub use_nti: bool,
-    /// Per-search footprint-term memo: `(shape, sizes projected onto the
-    /// shape's variables) → (elems, discounted misses, lines)`.
-    fp_cache: MemoTable<(usize, Vec<usize>), (f64, f64, f64)>,
     pub(crate) counters: &'a SearchCounters,
 }
 
@@ -298,32 +298,14 @@ impl<'a> TileContext<'a> {
             threads: arch.total_threads(),
             coverage: coverage_of(arch, config),
             use_nti,
-            fp_cache: MemoTable::new(32),
             counters,
         }
     }
 
     /// `(elems, prefetch-discounted misses, lines)` of shape `a` under
-    /// `sizes`, through the per-search memo (bypassed when memoization is
-    /// disabled, so the exhaustive reference sweep stays uncached).
+    /// `sizes`, computed directly ([`Footprints::terms`]).
     pub fn terms(&self, a: usize, sizes: &[usize]) -> (f64, f64, f64) {
-        let compute = || {
-            (
-                self.fp.elems(a, sizes),
-                self.fp.misses_for(a, sizes, self.coverage),
-                self.fp.lines(a, sizes),
-            )
-        };
-        if !self.config.search.memo {
-            return compute();
-        }
-        let key: Vec<usize> = self.fp.shapes()[a].vars.iter().map(|&v| sizes[v]).collect();
-        self.fp_cache.get_or_compute(
-            (a, key),
-            &self.counters.memo_hits,
-            &self.counters.memo_misses,
-            compute,
-        )
+        self.fp.terms(a, sizes, self.coverage)
     }
 
     /// Algorithm-1 bound of a tile dimension against the **L1** (next-line
@@ -467,15 +449,27 @@ impl PrefetchAwareModel {
         let row = ctx.row?;
         let (tw, th) = (tile[ctx.col], tile[row]);
         let lc = ctx.fp.lc();
-        let inputs: Vec<usize> =
-            (0..ctx.na).filter(|&a| !ctx.fp.shapes()[a].is_output).collect();
+        let inputs = || (0..ctx.na).filter(|&a| !ctx.fp.shapes()[a].is_output);
+        let ntiles: f64 =
+            (0..ctx.n).map(|v| (ctx.extents[v] as f64 / tile[v] as f64).ceil()).product();
+        let eff = tw as f64 / lc as f64;
 
         // Working sets (Eqs. 18–19 generalized): transposed inputs pay
         // a full line per row they touch in one column sweep.
         let mut col_slice = vec![1usize; ctx.n];
         col_slice[ctx.col] = tw;
-        let ws_l1: f64 = inputs.iter().map(|&a| ctx.fp.lines(a, &col_slice) * lc as f64).sum();
-        let ws_l2: f64 = inputs.iter().map(|&a| ctx.fp.elems(a, tile)).sum();
+        let ws_l1: f64 = inputs().map(|a| ctx.terms(a, &col_slice).2 * lc as f64).sum();
+        // One pass per input for Eq. 19's working set and the miss total
+        // below, accumulated left to right from `Iterator::sum`'s own
+        // neutral element so both stay bit-identical to a `.sum()`.
+        let mut ws_l2: f64 = std::iter::empty::<f64>().sum();
+        let mut c_total = ws_l2;
+        for a in inputs() {
+            let (elems, misses, _) = ctx.terms(a, tile);
+            ws_l2 += elems;
+            // CTotal = Σ inputs rows(tile) × ntiles × (Tw / lc) (Eqs. 15, 17).
+            c_total += misses * ntiles * eff;
+        }
         if ws_l1 > ctx.l1_budget || ws_l2 > ctx.l2_budget {
             return None;
         }
@@ -486,15 +480,6 @@ impl PrefetchAwareModel {
                 return None;
             }
         }
-
-        // CTotal = Σ inputs rows(tile) × ntiles × (Tw / lc) (Eqs. 15, 17).
-        let ntiles: f64 =
-            (0..ctx.n).map(|v| (ctx.extents[v] as f64 / tile[v] as f64).ceil()).product();
-        let eff = tw as f64 / lc as f64;
-        let c_total: f64 = inputs
-            .iter()
-            .map(|&a| ctx.fp.misses_for(a, tile, ctx.coverage) * ntiles * eff)
-            .sum();
         Some(CostBreakdown {
             cl1: 0.0,
             cl2: 0.0,

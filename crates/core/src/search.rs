@@ -19,10 +19,11 @@
 //!   bound never exceeds the true cost, the global minimum (and every
 //!   cost-tied candidate, by strictness) survives pruning — the result
 //!   is exact, only faster.
-//! * **Memoized.** A sharded mutex-striped [`MemoTable`] caches
-//!   deterministic sub-computations (Algorithm-1 `emu()` bounds,
-//!   per-reference footprint terms) across candidates and across
-//!   optimizer invocations.
+//! * **Memoized.** A sharded mutex-striped [`MemoTable`] caches the
+//!   Algorithm-1 `emu()` bounds process-wide, across candidates and
+//!   across optimizer invocations. Footprint terms are not memoized:
+//!   they cost a few multiply-adds per array dimension, less than a
+//!   lookup.
 //!
 //! Counters ([`SearchCounters`] → [`SearchStats`]) record how much work
 //! the engine did and how much it skipped; the pipeline surfaces them in
@@ -103,10 +104,6 @@ pub struct SearchCounters {
     /// Candidates skipped because their lower bound lost to the
     /// incumbent.
     pub pruned: AtomicU64,
-    /// Memo-table hits (footprint terms).
-    pub memo_hits: AtomicU64,
-    /// Memo-table misses (footprint terms).
-    pub memo_misses: AtomicU64,
     /// Memo-table hits for Algorithm-1 `emu()` bounds.
     pub emu_memo_hits: AtomicU64,
     /// Memo-table misses for Algorithm-1 `emu()` bounds.
@@ -120,8 +117,8 @@ impl SearchCounters {
             workers,
             candidates_evaluated: self.evaluated.load(Ordering::Relaxed),
             candidates_pruned: self.pruned.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
+            memo_hits: 0,
+            memo_misses: 0,
             emu_memo_hits: self.emu_memo_hits.load(Ordering::Relaxed),
             emu_memo_misses: self.emu_memo_misses.load(Ordering::Relaxed),
             wall,
@@ -141,9 +138,11 @@ pub struct SearchStats {
     pub candidates_evaluated: u64,
     /// Candidates skipped by branch-and-bound.
     pub candidates_pruned: u64,
-    /// Footprint-term memo hits.
+    /// Always 0. Footprint terms are computed directly, with no memo;
+    /// the field stays because the optimize artifact's wire format
+    /// (`codec`) and external readers of [`SearchStats`] carry it.
     pub memo_hits: u64,
-    /// Footprint-term memo misses.
+    /// Always 0, for the same reason as [`SearchStats::memo_hits`].
     pub memo_misses: u64,
     /// Algorithm-1 `emu()` memo hits.
     pub emu_memo_hits: u64,
