@@ -186,8 +186,8 @@ fn main() {
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let responses = all.len();
-    let cache = server.session().cache_stats();
     let stats = server.shutdown();
+    let cache = stats.cache;
 
     let rows =
         [lane_row("all", all), lane_row("interactive", interactive), lane_row("batch", batch)];

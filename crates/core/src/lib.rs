@@ -99,7 +99,7 @@ pub use pipeline::{
     ResourceBudget, RunOverrides, Rung, RungFailure,
 };
 pub use search::{SearchCounters, SearchStats};
-pub use session::Session;
+pub use session::{PendingWrites, Session};
 pub use store::{ArtifactStore, CacheConfig, ParsePolicyKindError, PolicyKind, TierStats};
 
 use palo_arch::Architecture;

@@ -88,6 +88,14 @@ pub struct PassCx<'s> {
 /// session-scoped: `FaultPlan::fail_first_lowerings = 2` means the first
 /// two lowering attempts *of this run* fail, however many runs the
 /// session has served before.
+///
+/// The control block of a session run also collects the run's deferred
+/// disk writes: the framed artifacts
+/// [`Session::execute`](crate::Session::execute) put in the memory tier
+/// but owes the disk tier, persisted as the run's epilogue
+/// ([`PendingWrites`](crate::PendingWrites)). A control block built by
+/// hand ([`RunCtl::new`], [`RunCtl::for_run`]) defers nothing: `execute`
+/// writes its artifacts through to disk at once.
 #[derive(Debug)]
 pub struct RunCtl {
     start: Instant,
@@ -96,6 +104,8 @@ pub struct RunCtl {
     simulate: bool,
     lowerings_attempted: Cell<u64>,
     timings: RefCell<Vec<PassTiming>>,
+    defers_writes: bool,
+    writes: RefCell<Vec<(Fingerprint, Arc<[u8]>)>>,
 }
 
 /// One pass request of a run, as timed by
@@ -130,6 +140,8 @@ impl RunCtl {
             simulate: true,
             lowerings_attempted: Cell::new(0),
             timings: RefCell::new(Vec::new()),
+            defers_writes: false,
+            writes: RefCell::new(Vec::new()),
         }
     }
 
@@ -179,6 +191,27 @@ impl RunCtl {
     /// Drains the recorded per-pass timings (in execution order).
     pub fn take_timings(&self) -> Vec<PassTiming> {
         std::mem::take(&mut self.timings.borrow_mut())
+    }
+
+    /// This control block with its disk writes deferred to the run's
+    /// epilogue instead of written through.
+    pub(crate) fn deferring_writes(self) -> Self {
+        RunCtl { defers_writes: true, ..self }
+    }
+
+    /// Whether new artifacts' disk writes wait for the run's epilogue.
+    pub(crate) fn defers_writes(&self) -> bool {
+        self.defers_writes
+    }
+
+    /// Records one disk write the run owes: `bytes` framed under `key`.
+    pub(crate) fn defer_write(&self, key: Fingerprint, bytes: Arc<[u8]>) {
+        self.writes.borrow_mut().push((key, bytes));
+    }
+
+    /// Drains the recorded disk writes (in execution order).
+    pub(crate) fn take_writes(&self) -> Vec<(Fingerprint, Arc<[u8]>)> {
+        std::mem::take(&mut self.writes.borrow_mut())
     }
 }
 
@@ -299,7 +332,9 @@ impl CacheStats {
 /// Artifacts live in the store as [`StoredArtifact`]s — the canonical
 /// framed encoding plus, in memory, the decoded `Arc` — so a warm
 /// in-memory hit is an `Arc` clone, a disk hit decodes once and is
-/// promoted, and a cold run computes and writes through. The pass name
+/// promoted, and a cold run computes, [`stage`](ArtifactCache::stage)s
+/// into memory and [`persist`](ArtifactCache::persist)s to disk at the
+/// end of the run. The pass name
 /// and version are stamped in every frame header and checked on every
 /// disk-served hit; any mismatch or decode failure counts an anomaly,
 /// heals the entry, and degrades to a miss.
@@ -400,7 +435,7 @@ impl ArtifactCache {
         match decoded {
             Some(artifact) => {
                 let artifact = Arc::new(artifact);
-                self.store.promote(
+                self.store.put_mem(
                     key,
                     StoredArtifact { value: Some(artifact.clone()), bytes: stored.bytes },
                 );
@@ -415,7 +450,8 @@ impl ArtifactCache {
     }
 
     /// Stores `artifact` under `key`, framed as `(pass, pass_version)`,
-    /// writing through every tier.
+    /// writing through every tier: [`stage`](ArtifactCache::stage), then
+    /// [`persist`](ArtifactCache::persist).
     pub fn insert<T: Codec + Send + Sync + 'static>(
         &self,
         key: Fingerprint,
@@ -423,8 +459,32 @@ impl ArtifactCache {
         pass_version: u32,
         artifact: Arc<T>,
     ) {
-        let bytes = frame::encode_frame(pass, pass_version, &artifact.encode_to_vec());
-        self.store.put(key, StoredArtifact { value: Some(artifact), bytes: bytes.into() });
+        if let Some(bytes) = self.stage(key, pass, pass_version, artifact) {
+            self.persist(key, bytes);
+        }
+    }
+
+    /// Stores `artifact` under `key`, framed as `(pass, pass_version)`,
+    /// in the memory tier only, so every later lookup in this process
+    /// hits at once. Returns the framed bytes the disk tier still owes,
+    /// or `None` when there is no disk tier.
+    pub fn stage<T: Codec + Send + Sync + 'static>(
+        &self,
+        key: Fingerprint,
+        pass: &str,
+        pass_version: u32,
+        artifact: Arc<T>,
+    ) -> Option<Arc<[u8]>> {
+        let bytes: Arc<[u8]> =
+            frame::encode_frame(pass, pass_version, &artifact.encode_to_vec()).into();
+        self.store.put_mem(key, StoredArtifact { value: Some(artifact), bytes: bytes.clone() });
+        self.persistent().then_some(bytes)
+    }
+
+    /// Writes a [`stage`](ArtifactCache::stage)d artifact's framed bytes
+    /// to the disk tier.
+    pub fn persist(&self, key: Fingerprint, bytes: Arc<[u8]>) {
+        self.store.persist(key, bytes);
     }
 
     /// Counts one cache-bypassed request.

@@ -18,6 +18,11 @@
 //! nest the session has seen (or a *renamed* nest with the same canonical
 //! form) replays the cached artifacts: bit-identical decisions, rungs and
 //! estimates, without re-searching.
+//!
+//! A new artifact enters the memory tier at once; its disk write is the
+//! run's epilogue ([`PendingWrites`]). [`Session::run`] and friends
+//! persist before they return; [`Session::run_unpersisted`] hands the
+//! epilogue to the caller, so a server can answer first and write after.
 
 use crate::batch::BatchDriver;
 use crate::error::PaloError;
@@ -142,7 +147,10 @@ impl Session {
 
     /// Executes one pass request through the artifact cache: a cached
     /// artifact is returned as-is; otherwise the pass runs and its
-    /// artifact is stored. The cache is bypassed wholesale while the
+    /// artifact is stored in the memory tier, with its disk write
+    /// recorded in `ctl` for the run's epilogue ([`PendingWrites`]) —
+    /// or, for a hand-built `ctl`, written through at once. The cache
+    /// is bypassed wholesale while the
     /// *run's effective* [`FaultPlan`](crate::FaultPlan) is armed
     /// (session-wide or per-request via
     /// [`RunOverrides`](crate::RunOverrides)), and for requests the pass
@@ -175,7 +183,11 @@ impl Session {
         let run = pass.run(&cx, input);
         ctl.record_pass(pass.name(), t0.elapsed(), false);
         let artifact = Arc::new(run?);
-        self.cache.insert(key, pass.name(), pass.version(), artifact.clone());
+        match self.cache.stage(key, pass.name(), pass.version(), artifact.clone()) {
+            Some(bytes) if ctl.defers_writes() => ctl.defer_write(key, bytes),
+            Some(bytes) => self.cache.persist(key, bytes),
+            None => {}
+        }
         Ok(artifact)
     }
 
@@ -199,6 +211,10 @@ impl Session {
     /// `simulate` switch (the load-shedding lever — `Some(false)` answers
     /// from the analytical model alone).
     ///
+    /// The run's new artifacts are on disk when this returns, on `Ok`
+    /// and `Err` alike, and the report's cache window includes their
+    /// disk writes.
+    ///
     /// # Errors
     ///
     /// As for [`Session::run`].
@@ -207,13 +223,30 @@ impl Session {
         nest: &LoopNest,
         overrides: &RunOverrides,
     ) -> Result<PipelineOutcome, PaloError> {
-        let ctl = RunCtl::for_run(&self.config, overrides);
+        self.persisted(|| self.run_unpersisted(nest, overrides))
+    }
+
+    /// [`Session::run_with`] without the epilogue: the outcome, plus the
+    /// disk writes the run still owes. The artifacts are already in the
+    /// memory tier, so concurrent and later runs of this session hit
+    /// them; the disk tier gets them on [`PendingWrites::persist`] or
+    /// when the [`PendingWrites`] is dropped. The report's cache window
+    /// excludes those writes.
+    ///
+    /// This is how `palo-serve` answers before it writes files.
+    pub fn run_unpersisted(
+        &self,
+        nest: &LoopNest,
+        overrides: &RunOverrides,
+    ) -> (Result<PipelineOutcome, PaloError>, PendingWrites<'_>) {
+        let run = self.pending(overrides);
+        let ctl = &run.ctl;
         let before = self.cache.stats();
         let mut failures: Vec<RungFailure> = Vec::new();
 
         let optimized = self
-            .execute(&ClassifyPass, &ctl, &nest)
-            .and_then(|c| self.execute(&OptimizePass, &ctl, &(nest, c.class)));
+            .execute(&ClassifyPass, ctl, &nest)
+            .and_then(|c| self.execute(&OptimizePass, ctl, &(nest, c.class)));
         let (decision, search) = match optimized {
             Ok(a) => (Some(a.decision.clone()), Some(a.search.clone())),
             Err(error) => {
@@ -223,7 +256,7 @@ impl Session {
         };
 
         let proposed = decision.as_ref().map(|d| d.schedule().clone());
-        self.finish(nest, decision, proposed, search, failures, ctl, before)
+        (self.finish(nest, decision, proposed, search, failures, ctl, before), run)
     }
 
     /// Executes the degradation ladder for a caller-supplied schedule
@@ -244,7 +277,7 @@ impl Session {
     }
 
     /// [`Session::run_schedule`] with per-request overrides (see
-    /// [`Session::run_with`]).
+    /// [`Session::run_with`]; persists before it returns, like it).
     ///
     /// # Errors
     ///
@@ -255,9 +288,42 @@ impl Session {
         proposed: &Schedule,
         overrides: &RunOverrides,
     ) -> Result<PipelineOutcome, PaloError> {
-        let ctl = RunCtl::for_run(&self.config, overrides);
+        self.persisted(|| {
+            let run = self.pending(overrides);
+            let before = self.cache.stats();
+            let out = self.finish(
+                nest,
+                None,
+                Some(proposed.clone()),
+                None,
+                Vec::new(),
+                &run.ctl,
+                before,
+            );
+            (out, run)
+        })
+    }
+
+    /// A fresh run: its control block, owned by the epilogue that
+    /// persists what the run stages (even if the run unwinds).
+    fn pending(&self, overrides: &RunOverrides) -> PendingWrites<'_> {
+        let ctl = RunCtl::for_run(&self.config, overrides).deferring_writes();
+        PendingWrites { cache: &self.cache, ctl }
+    }
+
+    /// Runs `run`, persists its writes, and re-takes the report's cache
+    /// window so it covers them.
+    fn persisted<'s>(
+        &'s self,
+        run: impl FnOnce() -> (Result<PipelineOutcome, PaloError>, PendingWrites<'s>),
+    ) -> Result<PipelineOutcome, PaloError> {
         let before = self.cache.stats();
-        self.finish(nest, None, Some(proposed.clone()), None, Vec::new(), ctl, before)
+        let (out, writes) = run();
+        writes.persist();
+        out.map(|mut out| {
+            out.report.cache = self.cache.stats().since(&before);
+            out
+        })
     }
 
     /// Walks the ladder, simulates the accepted schedule, and assembles
@@ -270,15 +336,15 @@ impl Session {
         proposed: Option<Schedule>,
         search: Option<SearchStats>,
         mut failures: Vec<RungFailure>,
-        ctl: RunCtl,
+        ctl: &RunCtl,
         before: CacheStats,
     ) -> Result<PipelineOutcome, PaloError> {
         let ladder =
-            self.execute(&DegradePass, &ctl, &(nest, proposed.as_ref()))?.ladder.clone();
+            self.execute(&DegradePass, ctl, &(nest, proposed.as_ref()))?.ladder.clone();
 
         let mut accepted: Option<(Rung, Schedule, LoweredNest)> = None;
         for (rung, schedule) in ladder {
-            match self.attempt_rung(nest, &schedule, &ctl) {
+            match self.attempt_rung(nest, &schedule, ctl) {
                 Ok(lowered) => {
                     accepted = Some((rung, schedule, lowered));
                     break;
@@ -299,7 +365,7 @@ impl Session {
             // (batch-wide) to `max_concurrent_sims`, leaving every other
             // stage as parallel as the driver.
             let _permit = self.sim_gate.acquire();
-            match self.execute(&SimulatePass, &ctl, &(nest, &lowered)) {
+            match self.execute(&SimulatePass, ctl, &(nest, &lowered)) {
                 Ok(a) => Some(a.estimate.clone()),
                 Err(error) => {
                     failures.push(RungFailure { rung, error });
@@ -342,6 +408,44 @@ impl Session {
             self.execute(&ValidatePass, ctl, &(nest, &lowered))?;
         }
         Ok(lowered)
+    }
+}
+
+/// The disk writes one run still owes: the epilogue of a
+/// [`Session::run_unpersisted`] call.
+///
+/// Every artifact in it is already in the session's memory tier.
+/// [`persist`](PendingWrites::persist) writes them to the disk tier;
+/// dropping the value does the same, so no path — early return, error,
+/// unwinding panic — loses them. Without a disk tier there is nothing to
+/// write.
+#[must_use = "dropping PendingWrites persists at once; hold it to write after answering"]
+pub struct PendingWrites<'s> {
+    cache: &'s ArtifactCache,
+    /// The run's control block: its deferred writes live here while the
+    /// run executes, so the epilogue persists them even if the run
+    /// unwinds.
+    ctl: RunCtl,
+}
+
+impl PendingWrites<'_> {
+    /// Writes every pending artifact to the disk tier.
+    pub fn persist(self) {
+        // `Drop` does the work.
+    }
+}
+
+impl Drop for PendingWrites<'_> {
+    fn drop(&mut self) {
+        for (key, bytes) in self.ctl.take_writes() {
+            self.cache.persist(key, bytes);
+        }
+    }
+}
+
+impl std::fmt::Debug for PendingWrites<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PendingWrites").finish_non_exhaustive()
     }
 }
 
@@ -503,6 +607,65 @@ mod tests {
         let full = session.run(&matmul(8)).unwrap();
         assert!(full.report.estimate.is_some());
         assert_eq!(out.decision, full.decision, "shedding must not change the decision");
+    }
+
+    fn persistent_session(tag: &str) -> (Session, std::path::PathBuf) {
+        let root =
+            std::env::temp_dir().join(format!("palo-session-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut config = PipelineConfig::default();
+        config.cache.dir = Some(root.clone());
+        (Session::new(&presets::intel_i7_6700(), config).unwrap(), root)
+    }
+
+    fn art_files(root: &std::path::Path) -> usize {
+        use crate::store::ArtifactStore;
+        crate::store::DiskStore::open(root).unwrap().len()
+    }
+
+    #[test]
+    fn unpersisted_runs_answer_from_memory_and_write_on_persist() {
+        let (session, root) = persistent_session("deferred");
+        let (cold, pending) = session.run_unpersisted(&matmul(8), &RunOverrides::default());
+        let cold = cold.unwrap();
+        assert!(cold.report.cache.misses > 0);
+        assert_eq!(art_files(&root), 0, "nothing may touch the disk before persist");
+        assert_eq!(cold.report.cache.disk.bytes_written, 0);
+
+        // The memory tier already serves the run's artifacts, and a
+        // replay owes the disk nothing.
+        let (warm, nothing) = session.run_unpersisted(&matmul(8), &RunOverrides::default());
+        assert_eq!(warm.unwrap().report.cache.misses, 0);
+        nothing.persist();
+        assert_eq!(art_files(&root), 0);
+
+        pending.persist();
+        assert_eq!(art_files(&root) as u64, cold.report.cache.misses);
+
+        // `run` persists before it returns and its window shows the writes.
+        let shed = RunOverrides { simulate: Some(false), ..RunOverrides::default() };
+        let out = session.run_with(&matmul(12), &shed).unwrap();
+        assert!(out.report.cache.disk.bytes_written > 0);
+        assert_eq!(art_files(&root) as u64, cold.report.cache.misses + out.report.cache.misses);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dropped_pending_writes_still_persist() {
+        let (session, root) = persistent_session("dropped");
+        let (out, pending) = session.run_unpersisted(&matmul(8), &RunOverrides::default());
+        let misses = out.unwrap().report.cache.misses;
+        drop(pending);
+        assert_eq!(art_files(&root) as u64, misses);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_hand_built_run_ctl_writes_through() {
+        let (session, root) = persistent_session("by-hand");
+        session.execute(&ClassifyPass, &RunCtl::new(), &&matmul(8)).unwrap();
+        assert_eq!(art_files(&root), 1, "no epilogue will run: the write must be inline");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -29,13 +29,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// File extension of stored artifacts.
 const ART_EXT: &str = "art";
 
+/// Sequence of temp-file names, process-wide: two stores on one root in
+/// one process (two sessions sharing a cache directory) must never pick
+/// the same `.<pid>.<n>.tmp` name, or one rename would install the
+/// other key's bytes.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// The persistent tier rooted at one cache directory.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
     counters: TierCounters,
     anomalies: AtomicU64,
-    tmp_seq: AtomicU64,
 }
 
 impl DiskStore {
@@ -52,12 +57,7 @@ impl DiskStore {
         fs::create_dir_all(&root).map_err(|e| PaloError::Store {
             detail: format!("cannot create cache dir {}: {e}", root.display()),
         })?;
-        Ok(DiskStore {
-            root,
-            counters: TierCounters::default(),
-            anomalies: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
-        })
+        Ok(DiskStore { root, counters: TierCounters::default(), anomalies: AtomicU64::new(0) })
     }
 
     /// The store's root directory.
@@ -122,12 +122,12 @@ impl ArtifactStore for DiskStore {
         if fs::create_dir_all(shard).is_err() {
             return;
         }
-        // Unique temp name per writer, then an atomic rename: readers
+        // Unique temp name per write, then an atomic rename: readers
         // and racing writers never see a partial file.
         let tmp = shard.join(format!(
             ".{:x}.{}.tmp",
             std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         if fs::write(&tmp, &artifact.bytes).is_ok() && fs::rename(&tmp, &path).is_ok() {
             self.counters

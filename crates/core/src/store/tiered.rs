@@ -1,19 +1,24 @@
-//! The read-through/write-through composition of the memory and disk
-//! tiers.
+//! The read-through composition of the memory and disk tiers, with the
+//! disk write available on its own.
 
 use crate::error::PaloError;
 use crate::fingerprint::Fingerprint;
 use crate::store::{
     ArtifactStore, BoundedMemStore, CacheConfig, DiskStore, MemStore, StoredArtifact, TierStats,
 };
+use std::sync::Arc;
 
 /// A memory tier over an optional disk tier.
 ///
 /// * `get` reads through: a memory miss falls to disk; a disk hit is
 ///   returned with `value: None` (encoded bytes only) for the typed
-///   layer to decode and [`promote`](TieredStore::promote);
+///   layer to decode and [`put_mem`](TieredStore::put_mem);
 /// * `put` writes through: every new artifact lands in both tiers, so a
-///   future process starts warm even if the memory tier evicts it.
+///   future process starts warm even if the memory tier evicts it;
+/// * [`put_mem`](TieredStore::put_mem) and
+///   [`persist`](TieredStore::persist) are its two halves, for a caller
+///   that answers from memory first and writes the disk tier later (the
+///   session's run epilogue, DESIGN.md §15).
 #[derive(Debug)]
 pub struct TieredStore {
     mem: MemTier,
@@ -63,11 +68,21 @@ impl TieredStore {
         TieredStore { mem: MemTier::Unbounded(MemStore::new()), disk: None }
     }
 
-    /// Re-stores a disk-served artifact into the memory tier with its
-    /// decoded value attached, so subsequent hits skip the decode. Does
-    /// not touch the disk tier (the entry is already there).
-    pub fn promote(&self, key: Fingerprint, artifact: StoredArtifact) {
+    /// Stores `artifact` in the memory tier only: a disk-served artifact
+    /// promoted with its decoded value attached (the disk already holds
+    /// it), or a fresh one whose disk write is [`persist`]ed later.
+    ///
+    /// [`persist`]: TieredStore::persist
+    pub fn put_mem(&self, key: Fingerprint, artifact: StoredArtifact) {
         self.mem.as_store().put(key, artifact);
+    }
+
+    /// Writes framed `bytes` under `key` to the disk tier, if there is
+    /// one. Leaves the memory tier alone.
+    pub fn persist(&self, key: Fingerprint, bytes: Arc<[u8]>) {
+        if let Some(disk) = &self.disk {
+            disk.put(key, StoredArtifact { value: None, bytes });
+        }
     }
 
     /// Lifetime counters of the memory tier.
@@ -100,10 +115,8 @@ impl ArtifactStore for TieredStore {
     }
 
     fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
-        if let Some(disk) = &self.disk {
-            disk.put(key, artifact.clone());
-        }
-        self.mem.as_store().put(key, artifact);
+        self.persist(key, artifact.bytes.clone());
+        self.put_mem(key, artifact);
     }
 
     fn remove(&self, key: Fingerprint) {

@@ -16,8 +16,12 @@
 //! kernels like `3mm` produce several), the degradation-ladder rung each
 //! nest landed on, the fidelity and shedding level the request was
 //! served at, the queue pressure that drove them, and the run's
-//! artifact-cache counter movement. A rejection is typed
-//! ([`ErrorKind`]), never a dropped line.
+//! artifact-cache counter movement. That window closes when the answer
+//! is built: the request's own artifacts are written to disk after the
+//! response goes out, so its disk `bytes_written` appears in the
+//! session totals ([`ServeStats::cache`](crate::ServeStats::cache),
+//! `palo-serve`'s shutdown line), not in its response. A rejection is
+//! typed ([`ErrorKind`]), never a dropped line.
 
 use crate::json::{push_json_f64, push_json_str, Json};
 use crate::shed::{Fidelity, ShedLevel};
@@ -299,7 +303,10 @@ pub struct OkResponse {
     /// Whether the answer came from the degraded retry after a transient
     /// first-attempt failure.
     pub retried: bool,
-    /// Artifact-cache counter movement of this run.
+    /// Artifact-cache counter movement of this run, up to the answer.
+    /// Hits, misses and memory-tier writes are all here; the disk tier's
+    /// `bytes_written` for this request's new artifacts is not, because
+    /// they are persisted after the response is sent.
     pub cache: CacheStats,
     /// Wall-clock from admission to response.
     pub elapsed: Duration,

@@ -15,24 +15,33 @@
 //!    propagated into the pipeline's trace-walk guard via
 //!    [`RunOverrides`]; a request that expired while queued is answered
 //!    with a typed [`ErrorKind::DeadlineExpired`] without running.
-//! 4. **Execution** — [`Session::run_with`] per nest, panics isolated by
-//!    [`catch_panic`]. A transient failure (injected fault, caught
+//! 4. **Execution** — [`Session::run_unpersisted`] per nest, panics
+//!    isolated by [`catch_panic`]. New artifacts enter the session's
+//!    memory tier at once; their disk writes are held as
+//!    [`PendingWrites`]. A transient failure (injected fault, caught
 //!    panic, exhausted budget) earns one retry with faults disarmed and
 //!    analytic fidelity; what remains is a typed failure.
 //! 5. **Response** — exactly one [`Response`] per submitted request,
 //!    through the job's [`Responder`] closure (stdout, a socket, a test
 //!    channel — the server does not care).
+//! 6. **Persistence** — only then does the worker write the request's
+//!    artifacts (both attempts', if it retried) to the disk tier, before
+//!    it pops the next job. File creation costs far more than a warm
+//!    answer, so the client never waits for it; the request's own disk
+//!    `bytes_written` therefore shows in the session totals, not in its
+//!    response's `cache` window.
 //!
 //! [`Server::shutdown`] drains gracefully: the queue closes, its pending
 //! entries are rejected with [`ErrorKind::Shutdown`], in-flight requests
-//! finish, workers exit, and the final statistics are returned.
+//! finish and persist, workers exit, and the final statistics are
+//! returned — with every served artifact on disk.
 
 use crate::protocol::{ErrorKind, NestResult, OkResponse, Request, Response, ResponseBody};
 use crate::queue::{AdmissionQueue, PushError};
 use crate::shed::{Fidelity, ShedLevel, ShedPolicy};
 use palo_core::{
-    catch_panic, CacheStats, FaultPlan, PaloError, PipelineConfig, PipelineOutcome,
-    RunOverrides, Session,
+    catch_panic, CacheStats, FaultPlan, PaloError, PendingWrites, PipelineConfig,
+    PipelineOutcome, RunOverrides, Session,
 };
 use palo_ir::LoopNest;
 use palo_suite::Benchmark;
@@ -75,6 +84,11 @@ impl Default for ServeConfig {
 /// A snapshot of the server's lifetime counters. Every submitted
 /// request lands in exactly one terminal counter; [`ServeStats::responses`]
 /// totals them for the zero-lost-responses check.
+///
+/// [`ServeStats::cache`] is the session's lifetime cache totals. The
+/// snapshot [`Server::shutdown`] returns is taken after the workers
+/// finished persisting, so it counts every disk write a response's own
+/// `cache` window does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests answered with a decision (degraded ones included).
@@ -100,6 +114,8 @@ pub struct ServeStats {
     /// Worker threads that died by panic (must stay 0; responses are
     /// panic-isolated per request).
     pub worker_panics: u64,
+    /// The warm session's lifetime artifact-cache counters.
+    pub cache: CacheStats,
 }
 
 impl ServeStats {
@@ -134,7 +150,7 @@ impl Counters {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn snapshot(&self, worker_panics: u64) -> ServeStats {
+    fn snapshot(&self, worker_panics: u64, cache: CacheStats) -> ServeStats {
         ServeStats {
             served: self.served.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -150,6 +166,7 @@ impl Counters {
                 self.levels[2].load(Ordering::Relaxed),
             ],
             worker_panics: self.worker_panics.load(Ordering::Relaxed) + worker_panics,
+            cache,
         }
     }
 }
@@ -227,7 +244,7 @@ impl Server {
 
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> ServeStats {
-        self.shared.counters.snapshot(0)
+        self.shared.counters.snapshot(0, self.shared.session.cache_stats())
     }
 
     /// Submits a parsed request. Always answers through `responder` —
@@ -284,8 +301,8 @@ impl Server {
     }
 
     /// Graceful drain: close the queue, reject everything still pending
-    /// with a typed shutdown error, let in-flight requests finish, join
-    /// the workers, and return the final counters.
+    /// with a typed shutdown error, let in-flight requests finish and
+    /// persist, join the workers, and return the final counters.
     pub fn shutdown(self) -> ServeStats {
         for job in self.shared.queue.close() {
             Counters::bump(&self.shared.counters.rejected_shutdown);
@@ -301,7 +318,7 @@ impl Server {
                 worker_panics += 1;
             }
         }
-        self.shared.counters.snapshot(worker_panics)
+        self.shared.counters.snapshot(worker_panics, self.shared.session.cache_stats())
     }
 }
 
@@ -333,14 +350,23 @@ fn remaining(request: &Request, admitted: Instant) -> Result<Option<Duration>, D
     }
 }
 
-fn run_all(
-    session: &Session,
+/// Runs every nest, collecting the disk writes each run still owes into
+/// `pending` (the caller persists them after answering).
+fn run_all<'s>(
+    session: &'s Session,
     nests: &[LoopNest],
     overrides: &RunOverrides,
+    pending: &mut Vec<PendingWrites<'s>>,
 ) -> Result<Vec<PipelineOutcome>, PaloError> {
     nests
         .iter()
-        .map(|nest| catch_panic("serve-request", || session.run_with(nest, overrides))?)
+        .map(|nest| {
+            catch_panic("serve-request", || {
+                let (out, writes) = session.run_unpersisted(nest, overrides);
+                pending.push(writes);
+                out
+            })?
+        })
         .collect()
 }
 
@@ -453,7 +479,8 @@ fn serve_one(shared: &Shared, job: Job) {
 
     let overrides = request.overrides(left, fidelity);
     let served = Served { fidelity, level, pressure, retried: false };
-    let response = match run_all(&shared.session, &nests, &overrides) {
+    let mut pending = Vec::new();
+    let response = match run_all(&shared.session, &nests, &overrides, &mut pending) {
         Ok(outcomes) => respond_ok(shared, &request, admitted, &nests, &outcomes, served),
         Err(first) if transient(&first) => {
             // One retry: faults disarmed, analytic fidelity, whatever
@@ -465,7 +492,7 @@ fn serve_one(shared: &Shared, job: Job) {
                 simulate: Some(false),
             };
             let served = Served { fidelity: Fidelity::Analytic, retried: true, ..served };
-            match run_all(&shared.session, &nests, &degraded) {
+            match run_all(&shared.session, &nests, &degraded, &mut pending) {
                 Ok(outcomes) => {
                     respond_ok(shared, &request, admitted, &nests, &outcomes, served)
                 }
@@ -484,7 +511,12 @@ fn serve_one(shared: &Shared, job: Job) {
             Response::error(&request.id, ErrorKind::Failed, format!("pipeline failed: {e}"))
         }
     };
+    // Answer first, persist after: the client does not wait for file
+    // creation, and the worker still finishes it before its next job.
     responder(response);
+    for writes in pending {
+        writes.persist();
+    }
 }
 
 #[cfg(test)]

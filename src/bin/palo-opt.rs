@@ -386,7 +386,6 @@ fn run_batch(args: &Args, arch: &Architecture) -> ExitCode {
     // Graceful drain: in-flight benchmarks finish (their responses land
     // in the channel), still-queued ones come back as typed `shutdown`
     // rejections.
-    let session_stats = server.session().cache_stats();
     let cached_artifacts = server.session().cached_artifacts();
     let persistent = args.cache.dir.is_some();
     let stats = server.shutdown();
@@ -432,7 +431,7 @@ fn run_batch(args: &Args, arch: &Architecture) -> ExitCode {
         }
     }
     if args.cache_stats {
-        print_cache_stats(&session_stats, cached_artifacts, persistent);
+        print_cache_stats(&stats.cache, cached_artifacts, persistent);
     }
     debug_assert_eq!(stats.responses() as usize, responses.len(), "a response was lost");
     if interrupted {

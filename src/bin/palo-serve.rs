@@ -26,7 +26,7 @@
 //! response per request, always.
 
 use palo::arch::{presets, Architecture};
-use palo::core::{CacheConfig, PipelineConfig, PolicyKind};
+use palo::core::{CacheConfig, CacheStats, PipelineConfig, PolicyKind};
 use palo::serve::{signal, Responder, Response, ServeConfig, Server, ShedPolicy};
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
@@ -132,15 +132,16 @@ fn platform(name: &str) -> Option<Architecture> {
     }
 }
 
-fn print_final_stats(server: &Server) {
-    let cache = server.session().cache_stats();
+/// The session's cache totals. Printed after the drain, so they include
+/// the disk writes persisted after the last answers.
+fn print_final_stats(cache: &CacheStats, cached_artifacts: usize) {
     eprintln!(
         "// cache: {} hits, {} misses, {} bypasses ({:.0}% hit rate, {} artifacts)",
         cache.hits,
         cache.misses,
         cache.bypasses,
         cache.hit_rate() * 100.0,
-        server.session().cached_artifacts()
+        cached_artifacts
     );
     eprintln!(
         "//   mem tier:  {} hits, {} misses, {} evictions; disk tier: {} hits, {} misses, \
@@ -225,8 +226,9 @@ fn serve_stdin(server: Server) -> ExitCode {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    print_final_stats(&server);
+    let cached_artifacts = server.session().cached_artifacts();
     let stats = server.shutdown();
+    print_final_stats(&stats.cache, cached_artifacts);
     print_drain_stats(&stats);
     if interrupted {
         ExitCode::from(130)
@@ -330,13 +332,20 @@ fn serve_socket(server: Server, path: &str) -> ExitCode {
     for c in conns {
         let _ = c.join();
     }
-    print_final_stats(&server);
     match Arc::try_unwrap(server) {
         Ok(server) => {
+            let cached_artifacts = server.session().cached_artifacts();
             let stats = server.shutdown();
+            print_final_stats(&stats.cache, cached_artifacts);
             print_drain_stats(&stats);
         }
-        Err(_) => eprintln!("// connection thread leaked; skipping drain report"),
+        Err(server) => {
+            print_final_stats(
+                &server.session().cache_stats(),
+                server.session().cached_artifacts(),
+            );
+            eprintln!("// connection thread leaked; skipping drain report")
+        }
     }
     ExitCode::from(130)
 }

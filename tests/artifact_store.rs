@@ -10,14 +10,20 @@
 //!   format versions and racing same-key writers can only ever produce a
 //!   cache miss plus a recorded [`CacheStats`] anomaly — never an error
 //!   and never a wrong decision.
+//!
+//! It also pins the persistence contract: `Session::run` returns with
+//! its artifacts on disk, and a server's answered requests are on disk
+//! once it has shut down (it writes them after answering).
 
 use palo::arch::presets;
 use palo::codec::frame;
 use palo::core::store::{ArtifactStore, DiskStore, StoredArtifact};
 use palo::core::{CacheConfig, PipelineConfig, PolicyKind, Session};
 use palo::ir::{DType, Digest, LoopNest, NestBuilder};
+use palo::serve::{Request, Response, ServeConfig, Server};
+use palo::suite::Benchmark;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 
 fn matmul(n: usize) -> LoopNest {
     let mut b = NestBuilder::new("matmul", DType::F32);
@@ -257,4 +263,155 @@ fn an_unwritable_cache_directory_is_a_session_error_not_a_panic() {
     };
     assert!(err.to_string().contains("artifact store"), "the error must name the store: {err}");
     let _ = std::fs::remove_file(&file);
+}
+
+#[test]
+fn disk_stores_sharing_a_root_never_swap_keys() {
+    // Several stores on one root in one process (two sessions sharing a
+    // cache directory) write distinct keys into one shard in lockstep.
+    // Temp-file names must be unique process-wide: a name shared by two
+    // writers lets one rename install the other key's (valid) frame.
+    const STORES: u128 = 4;
+    const KEYS: u128 = 150;
+    let root = tmp_dir("tmp-names");
+    let key =
+        |store: u128, i: u128| palo::core::Fingerprint(Digest(0xab << 120 | store << 32 | i));
+    let payload = |store: u128, i: u128| format!("store {store} key {i}").into_bytes();
+    let barrier = Arc::new(Barrier::new(STORES as usize));
+    let handles: Vec<_> = (0..STORES)
+        .map(|store| {
+            let disk = DiskStore::open(&root).expect("open must succeed");
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                for i in 0..KEYS {
+                    let bytes = frame::encode_frame("tmp-names", 1, &payload(store, i)).into();
+                    barrier.wait();
+                    disk.put(key(store, i), StoredArtifact { value: None, bytes });
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("no writer may panic");
+    }
+
+    let reader = DiskStore::open(&root).expect("open must succeed");
+    let mut wrong = Vec::new();
+    for store in 0..STORES {
+        for i in 0..KEYS {
+            let got = reader
+                .get(key(store, i))
+                .map(|a| frame::decode_frame(&a.bytes).expect("valid frame").payload.to_vec());
+            if got.as_deref() != Some(&payload(store, i)[..]) {
+                wrong.push((store, i, got.map(String::from_utf8)));
+            }
+        }
+    }
+    assert!(root.join("ab").is_dir(), "every key must shard under ab/");
+    assert!(
+        wrong.is_empty(),
+        "{} keys lost or swapped: {:?}",
+        wrong.len(),
+        &wrong[..wrong.len().min(5)]
+    );
+    assert_eq!(reader.anomalies(), 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn session_run_returns_with_its_artifacts_on_disk() {
+    let root = tmp_dir("run-persists");
+    let config = CacheConfig { dir: Some(root.clone()), ..CacheConfig::default() };
+    // The writer stays alive: its files must be on disk when `run`
+    // returns, not when the session is dropped.
+    let writer = session_with(config.clone());
+    for nest in workload() {
+        let cold = run_bits(&writer, &nest);
+        let fresh = session_with(config.clone());
+        assert_eq!(run_bits(&fresh, &nest), cold, "{}: replay diverged", nest.name());
+        let s = fresh.cache_stats();
+        assert_eq!(s.misses, 0, "{}: the run's artifacts were not on disk: {s:?}", nest.name());
+        assert!(s.disk.hits > 0, "{}: {s:?}", nest.name());
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_shut_down_server_leaves_every_served_artifact_on_disk() {
+    let root = tmp_dir("serve-persists");
+    let pipeline = PipelineConfig {
+        cache: CacheConfig { dir: Some(root.clone()), ..CacheConfig::default() },
+        ..PipelineConfig::default()
+    };
+    let lines = [
+        r#"{"id":"a","kernel":"matmul","size":32}"#,
+        r#"{"id":"b","kernel":"3mm","size":16,"priority":"interactive"}"#,
+        r#"{"id":"c","kernel":"tp","size":48,"estimate":false}"#,
+        r#"{"id":"d","kernel":"copy","size":64}"#,
+    ];
+    let requests: Vec<Request> =
+        lines.iter().map(|l| Request::parse(l, "?").expect("valid request")).collect();
+    let server = Server::start(
+        &presets::intel_i7_6700(),
+        ServeConfig { pipeline: pipeline.clone(), workers: Some(2), ..ServeConfig::default() },
+    )
+    .expect("server must start");
+    let (tx, rx) = mpsc::channel::<Response>();
+    for request in &requests {
+        let tx = tx.clone();
+        server.submit(request.clone(), Box::new(move |r| drop(tx.send(r))));
+    }
+    drop(tx);
+    let responses: Vec<Response> = rx.iter().take(requests.len()).collect();
+    let stats = server.shutdown();
+    assert_eq!(stats.served, requests.len() as u64, "{responses:?}");
+    assert!(stats.cache.disk.bytes_written > 0, "the drain must count the deferred writes");
+
+    // A fresh session on the directory replays every served nest, at the
+    // fidelity it was served, without computing anything.
+    let fresh = Session::new(&presets::intel_i7_6700(), pipeline).expect("session must open");
+    for request in &requests {
+        let ok = responses
+            .iter()
+            .find(|r| r.id == request.id)
+            .and_then(Response::ok)
+            .unwrap_or_else(|| panic!("{}: not served", request.id));
+        let nests = Benchmark::all()
+            .into_iter()
+            .find(|b| b.name() == request.kernel)
+            .expect("suite kernel")
+            .build(request.size.expect("sized request"))
+            .expect("kernel builds");
+        // The served fidelity decides whether the simulate artifact exists.
+        let overrides = request.overrides(None, ok.fidelity);
+        assert_eq!(nests.len(), ok.nests.len(), "{}", request.id);
+        for (nest, served) in nests.iter().zip(&ok.nests) {
+            let out = fresh.run_with(nest, &overrides).expect("replay must succeed");
+            assert_eq!(
+                out.report.cache.misses, 0,
+                "{}/{}: {:?}",
+                request.id, served.name, out.report.cache
+            );
+            let d = out.decision.as_ref().expect("the optimizer ran");
+            assert_eq!(out.report.rung.as_str(), served.rung, "{}/{}", request.id, served.name);
+            assert_eq!(Some(format!("{:?}", d.class)), served.class, "{}", request.id);
+            assert_eq!(d.tile, served.tile, "{}/{}", request.id, served.name);
+            assert_eq!(
+                Some(d.predicted_cost.to_bits()),
+                served.predicted_cost.map(f64::to_bits),
+                "{}/{}",
+                request.id,
+                served.name
+            );
+            assert_eq!(
+                out.report.estimate.as_ref().map(|e| e.ms.to_bits()),
+                served.estimate_ms.map(f64::to_bits),
+                "{}/{}",
+                request.id,
+                served.name
+            );
+        }
+    }
+    assert!(fresh.cache_stats().disk.hits > 0);
+    let _ = std::fs::remove_dir_all(&root);
 }
