@@ -565,10 +565,10 @@ impl Hierarchy {
 
     /// The run-compressed hot loop: same per-line transition as
     /// [`Hierarchy::access_line`], plus an expected-stream lock that
-    /// bypasses the level-1 prefetcher's table scan while a lower-indexed
-    /// stream provably cannot capture the run's lines. Units at other
-    /// levels take the plain per-line observe path (cheap: they are
-    /// table-free or inert on every preset).
+    /// bypasses the level-1 prefetcher's table match while no other
+    /// stream would capture the run's lines. Units at other levels take
+    /// the plain per-line observe path (cheap: they are table-free or
+    /// inert on every preset).
     ///
     /// Consumes `count` lines from `start`, `stride` apart, whose first
     /// line has just missed L1 with victim slot `l1_victim`; every line
@@ -586,17 +586,20 @@ impl Hierarchy {
         let mut line = start;
         let mut left = count;
         let mut victim = l1_victim;
-        // Locked stream index + how many more lines it is provably safe
-        // to feed it without re-scanning the table. While locked,
-        // `expect_next` is the line the locked stream predicts: an
-        // activated lock implies the stream's stride equals the run's
-        // (`expects` held for `line + stride`), and `observe_expected`
-        // keeps `last = line` with the stride unchanged, so the
-        // prediction advances by `stride` per fed line — the same test
-        // `expects` performs, without re-reading the table.
+        // Locked stream index. While locked, `expect_next` is the line the
+        // locked stream predicts: an activated lock implies the stream's
+        // stride equals the run's (`expects` held for `line + stride`),
+        // and every feed keeps `last = line` with the stride unchanged,
+        // so the prediction advances by `stride` per fed line — the same
+        // test `expects` performs, without re-reading the table.
         let mut locked: Option<usize> = None;
-        let mut safe_left: u64 = 0;
         let mut expect_next: u64 = 0;
+        // A silent locked stream (one that can never issue) is not fed
+        // per line: `owed` counts its feeds from `owed_from` on, applied
+        // in one step when the lock ends.
+        let mut silent = false;
+        let mut owed: u64 = 0;
+        let mut owed_from: u64 = 0;
         // Whether the locked stream's frontier is parked at the run-ahead
         // limit — feeds then take the O(1) single-line path. Parkedness
         // is invariant under parked feeds, so it is only re-evaluated
@@ -617,6 +620,9 @@ impl Hierarchy {
         let st_abs = stride.unsigned_abs();
         let mut units = std::mem::take(&mut self.units);
         let mut buf = std::mem::take(&mut self.pf_buf);
+        // A disabled level-1 unit only counts observes on its clock.
+        let l2_disabled = units.get(1).is_some_and(|p| p.disabled());
+        let mut ticks: u64 = 0;
         loop {
             // `line` missed L1: serve it, then feed the prefetchers.
             self.serve_l1_miss(line, write, victim);
@@ -626,14 +632,18 @@ impl Hierarchy {
                 self.observe_unit(0, u0.as_mut(), line, &mut buf);
             }
             // Level-1 unit: the expected-stream lock.
-            if let Some(p) = units.get_mut(1).map(Box::as_mut) {
-                if p.disabled() {
-                    p.tick(1);
-                } else {
-                    match locked {
-                        Some(f) if safe_left > 0 && line == expect_next => {
-                            safe_left -= 1;
-                            expect_next = line.wrapping_add_signed(stride);
+            if l2_disabled {
+                ticks += 1;
+            } else if let Some(p) = units.get_mut(1).map(Box::as_mut) {
+                match locked {
+                    Some(f) if line == expect_next && !p.preempts(f, line) => {
+                        expect_next = line.wrapping_add_signed(stride);
+                        if silent {
+                            if owed == 0 {
+                                owed_from = line;
+                            }
+                            owed += 1;
+                        } else {
                             // Ramp span: frontier lead gained per
                             // full-degree feed.
                             let span =
@@ -673,30 +683,35 @@ impl Hierarchy {
                                 }
                             }
                         }
-                        _ => {
-                            buf.clear();
-                            locked = p.observe_into(line, &mut buf);
-                            safe_left = 0;
-                            parked = false;
-                            has_ramp = false;
-                            if let Some(f) = locked {
-                                let next = line.wrapping_add_signed(stride);
-                                if p.expects(f, next) {
-                                    safe_left = p.capture_free_steps(f, next, stride);
-                                    expect_next = next;
-                                    if let Some((r, limit, d)) = p.ramp_state(f) {
-                                        has_ramp = true;
-                                        ramp_r = r;
-                                        ramp_limit = limit;
-                                        degree = d;
-                                        parked =
-                                            parked_from(ramp_r, st_abs, ramp_limit, degree);
-                                    }
+                    }
+                    _ => {
+                        if let Some(f) = locked.filter(|_| owed > 0) {
+                            p.feed_silent(f, owed_from, stride, owed);
+                            owed = 0;
+                        }
+                        buf.clear();
+                        locked = p.observe_into(line, &mut buf);
+                        parked = false;
+                        has_ramp = false;
+                        silent = false;
+                        if let Some(f) = locked {
+                            let next = line.wrapping_add_signed(stride);
+                            if p.expects(f, next) {
+                                expect_next = next;
+                                silent = p.silent(f);
+                                if let Some((r, limit, d)) = p.ramp_state(f) {
+                                    has_ramp = true;
+                                    ramp_r = r;
+                                    ramp_limit = limit;
+                                    degree = d;
+                                    parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
                                 }
+                            } else {
+                                locked = None;
                             }
-                            if !buf.is_empty() {
-                                self.issue_prefetches(1, &buf);
-                            }
+                        }
+                        if !buf.is_empty() {
+                            self.issue_prefetches(1, &buf);
                         }
                     }
                 }
@@ -710,6 +725,14 @@ impl Hierarchy {
             match self.l1_hit_streak(&mut line, &mut left, stride, write) {
                 Some(v) => victim = v,
                 None => break,
+            }
+        }
+        if let Some(p) = units.get_mut(1) {
+            if let Some(f) = locked.filter(|_| owed > 0) {
+                p.feed_silent(f, owed_from, stride, owed);
+            }
+            if ticks > 0 {
+                p.tick(ticks);
             }
         }
         buf.clear();

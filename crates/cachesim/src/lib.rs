@@ -51,7 +51,7 @@ mod strategy;
 pub use cache::{Cache, Eviction};
 pub use error::SimConfigError;
 pub use hierarchy::{AccessKind, AccessRun, Hierarchy, ReplayStats, ServedBy};
-pub use prefetch::StridePrefetcher;
+pub use prefetch::{Stream, StridePrefetcher};
 pub use sink::{CountingSink, CycleSnapshot, LineSink};
 pub use stats::{HierarchyStats, LevelStats};
 pub use strategy::{

@@ -1,18 +1,138 @@
 //! Constant-stride stream prefetcher (the L2 unit of the paper).
 
+/// Streams a table tracks at once; table indices are bits of a `u32`.
+const CAPACITY: usize = 32;
+/// Log2 of the match window: an access is matched to the nearest stream
+/// whose last line lies within `±(1 << ZONE_BITS)` lines, and the `last`
+/// index files streams by zones of that many lines.
+const ZONE_BITS: u32 = 6;
+const MATCH_WINDOW: u64 = 1 << ZONE_BITS;
+/// Zone numbers wrap with the line address space.
+const ZONE_MASK: u64 = u64::MAX >> ZONE_BITS;
+/// Log2 of the bucket count of each index.
+const BUCKET_BITS: u32 = 7;
+/// The bucket of a stream without a prediction (stride 0).
+const NO_BUCKET: u8 = u8::MAX;
+
+/// The index bucket of a predicted line or a zone (Fibonacci hashing).
+#[inline]
+fn bucket(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BUCKET_BITS)) as usize
+}
+
 /// One tracked access stream.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Stream {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stream {
     /// Last demand line observed for this stream.
-    pub(crate) last: u64,
+    pub last: u64,
     /// Detected stride in lines (may be negative).
-    pub(crate) stride: i64,
+    pub stride: i64,
     /// Consecutive confirmations of `stride`.
-    pub(crate) confidence: u8,
+    pub confidence: u8,
     /// Furthest line already prefetched for this stream.
-    pub(crate) frontier: u64,
+    pub frontier: u64,
     /// LRU stamp.
-    pub(crate) stamp: u64,
+    pub stamp: u64,
+}
+
+impl Stream {
+    /// The line this stream predicts next (`None` until it has a stride).
+    #[inline]
+    fn predicts(&self) -> Option<u64> {
+        (self.stride != 0).then(|| self.last.wrapping_add(self.stride as u64))
+    }
+}
+
+/// The stream table's two lookup indices, as bitmasks over table
+/// indices per hash bucket: by predicted next line, and by the zone of
+/// `last`. A bucket may hold streams with other keys (hash collisions,
+/// and the one stale stream's old keys), so every candidate is verified
+/// against the table; what the index guarantees is that, apart from the
+/// stale stream, no stream with the key is missing from its bucket.
+#[derive(Debug, Clone)]
+struct StreamIndex {
+    by_pred: [u32; 1 << BUCKET_BITS],
+    by_zone: [u32; 1 << BUCKET_BITS],
+    /// The `(by_pred, by_zone)` buckets each stream is filed under
+    /// (`NO_BUCKET` for no prediction); read only for filed streams.
+    filed: [(u8, u8); CAPACITY],
+}
+
+impl StreamIndex {
+    /// An empty index, all zeros (building a hierarchy stays cheap).
+    fn new() -> Self {
+        StreamIndex {
+            by_pred: [0; 1 << BUCKET_BITS],
+            by_zone: [0; 1 << BUCKET_BITS],
+            filed: [(0, 0); CAPACITY],
+        }
+    }
+
+    /// Files stream `i` under its current keys.
+    fn file(&mut self, i: usize, s: &Stream) {
+        let pb = s.predicts().map_or(NO_BUCKET, |p| bucket(p) as u8);
+        let zb = bucket(s.last >> ZONE_BITS) as u8;
+        if pb != NO_BUCKET {
+            self.by_pred[pb as usize] |= 1 << i;
+        }
+        self.by_zone[zb as usize] |= 1 << i;
+        self.filed[i] = (pb, zb);
+    }
+
+    /// Removes stream `i` from the buckets it is filed under.
+    fn unfile(&mut self, i: usize) {
+        let (pb, zb) = self.filed[i];
+        if pb != NO_BUCKET {
+            self.by_pred[pb as usize] &= !(1 << i);
+        }
+        self.by_zone[zb as usize] &= !(1 << i);
+    }
+
+    /// Removes streams `0..n` (the whole table) from the index.
+    fn unfile_all(&mut self, n: usize) {
+        for i in 0..n {
+            self.unfile(i);
+        }
+    }
+
+    /// Re-files stream `from` as stream `to` (a `swap_remove` moved it).
+    fn renumber(&mut self, from: usize, to: usize) {
+        let (pb, zb) = self.filed[from];
+        self.unfile(from);
+        if pb != NO_BUCKET {
+            self.by_pred[pb as usize] |= 1 << to;
+        }
+        self.by_zone[zb as usize] |= 1 << to;
+        self.filed[to] = (pb, zb);
+    }
+
+    /// Streams that may predict `line`.
+    #[inline]
+    fn predicting(&self, line: u64) -> u32 {
+        self.by_pred[bucket(line)]
+    }
+
+    /// Streams whose `last` may lie within the match window of `line`:
+    /// those filed under `line`'s zone or either neighbour.
+    #[inline]
+    fn near(&self, line: u64) -> u32 {
+        let z = line >> ZONE_BITS;
+        self.by_zone[bucket(z.wrapping_sub(1) & ZONE_MASK)]
+            | self.by_zone[bucket(z)]
+            | self.by_zone[bucket(z.wrapping_add(1) & ZONE_MASK)]
+    }
+}
+
+/// Table indices set in `mask`, ascending.
+#[inline]
+fn indices(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// A stream-table constant-stride prefetcher.
@@ -31,16 +151,23 @@ pub(crate) struct Stream {
 /// styled after AMD L2 units. All knob settings share the identical
 /// table mechanics, so the run engine's steady-state contract holds for
 /// every member of the family.
+///
+/// An access is matched to the lowest-indexed stream that predicts it
+/// exactly, else to the nearest stream within the match window (ties to
+/// the lowest index). Two hashed indices answer both questions by
+/// visiting a few candidates instead of the whole table (DESIGN.md §13).
+/// The O(1) feed paths leave the fed stream's entries stale; the next
+/// full observe re-files it.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     streams: Vec<Stream>,
-    capacity: usize,
+    index: StreamIndex,
+    /// Bit of the one stream whose index entries may be out of date (the
+    /// last one observed or fed), or 0.
+    stale: u32,
     degree: usize,
     max_distance: u64,
     clock: u64,
-    /// Window (in lines) within which a new address is matched to an
-    /// existing stream.
-    match_window: i64,
     /// Confirmations a stream needs before any prefetch issues.
     min_confidence: u8,
     /// When set, only unit-stride (±1 line) streams ever issue.
@@ -58,11 +185,11 @@ impl StridePrefetcher {
     pub fn new(degree: usize, max_distance: usize) -> Self {
         StridePrefetcher {
             streams: Vec::new(),
-            capacity: 32,
+            index: StreamIndex::new(),
+            stale: 0,
             degree,
             max_distance: max_distance as u64,
             clock: 0,
-            match_window: 64,
             min_confidence: 2,
             unit_only: false,
             creations: 0,
@@ -100,6 +227,50 @@ impl StridePrefetcher {
         out
     }
 
+    /// Re-files the stale stream, if any, under its current keys.
+    #[inline]
+    fn refresh(&mut self) {
+        if self.stale != 0 {
+            let i = self.stale.trailing_zeros() as usize;
+            self.index.unfile(i);
+            self.index.file(i, &self.streams[i]);
+            self.stale = 0;
+        }
+    }
+
+    /// Marks stream `i` as the one about to change without re-filing
+    /// (refreshing a different stale stream first).
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        if self.stale != 1 << i {
+            self.refresh();
+            self.stale = 1 << i;
+        }
+    }
+
+    /// The stream `line` extends: the lowest-indexed exact prediction,
+    /// else the nearest `last` within the match window (ties to the
+    /// lowest index). Requires a fresh index.
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        let exact = indices(self.index.predicting(line))
+            .find(|&i| self.streams[i].predicts() == Some(line));
+        if exact.is_some() {
+            return exact;
+        }
+        let mut best: Option<usize> = None;
+        let mut best_dist = u64::MAX;
+        for i in indices(self.index.near(line)) {
+            let d = line.wrapping_sub(self.streams[i].last) as i64;
+            let dist = d.unsigned_abs();
+            if d != 0 && dist <= MATCH_WINDOW && dist < best_dist {
+                best = Some(i);
+                best_dist = dist;
+            }
+        }
+        best
+    }
+
     /// Allocation-free [`StridePrefetcher::observe`]: appends prefetch
     /// lines to `out` and returns the index of the stream the access was
     /// matched to (`None` when a new stream was allocated or prefetching
@@ -109,33 +280,12 @@ impl StridePrefetcher {
         if self.degree == 0 {
             return None;
         }
-
-        // Find the stream this access extends: best = the one whose
-        // predicted next line is exactly `line`, else the nearest one
-        // within the match window.
-        let mut best: Option<usize> = None;
-        let mut best_score = i64::MAX;
-        for (i, s) in self.streams.iter().enumerate() {
-            let predicted = s.last.wrapping_add(s.stride as u64);
-            if predicted == line && s.stride != 0 {
-                best = Some(i);
-                break;
-            }
-            let d = (line as i64).wrapping_sub(s.last as i64);
-            if d != 0 && d.abs() <= self.match_window && d.abs() < best_score {
-                best = Some(i);
-                best_score = d.abs();
-            }
-        }
-
-        match best {
+        self.refresh();
+        match self.find(line) {
             Some(i) => {
+                // Nonzero: neither kind of match accepts `line == last`.
                 let delta = (line as i64).wrapping_sub(self.streams[i].last as i64);
                 let s = &mut self.streams[i];
-                if delta == 0 {
-                    s.stamp = self.clock;
-                    return Some(i);
-                }
                 if delta == s.stride {
                     s.confidence = s.confidence.saturating_add(1);
                 } else {
@@ -146,6 +296,7 @@ impl StridePrefetcher {
                 s.last = line;
                 s.stamp = self.clock;
                 let (confidence, stride) = (s.confidence, s.stride);
+                self.stale = 1 << i;
                 if confidence >= self.min_confidence && self.issues_for(stride) {
                     let s = &mut self.streams[i];
                     Self::run_ahead(s, line, self.degree, self.max_distance, out);
@@ -153,7 +304,7 @@ impl StridePrefetcher {
                 Some(i)
             }
             None => {
-                if self.streams.len() == self.capacity {
+                if self.streams.len() == CAPACITY {
                     let oldest = self
                         .streams
                         .iter()
@@ -162,15 +313,21 @@ impl StridePrefetcher {
                         .map(|(i, _)| i)
                         .expect("capacity > 0");
                     self.streams.swap_remove(oldest);
+                    self.index.unfile(oldest);
+                    if oldest != self.streams.len() {
+                        self.index.renumber(self.streams.len(), oldest);
+                    }
                 }
                 self.creations += 1;
-                self.streams.push(Stream {
+                let s = Stream {
                     last: line,
                     stride: 0,
                     confidence: 0,
                     frontier: line,
                     stamp: self.clock,
-                });
+                };
+                self.index.file(self.streams.len(), &s);
+                self.streams.push(s);
                 None
             }
         }
@@ -208,19 +365,28 @@ impl StridePrefetcher {
     /// nonzero stride — the precondition for
     /// [`StridePrefetcher::observe_expected`].
     pub(crate) fn expects(&self, i: usize, line: u64) -> bool {
-        self.streams
-            .get(i)
-            .is_some_and(|s| s.stride != 0 && s.last.wrapping_add(s.stride as u64) == line)
+        self.streams.get(i).is_some_and(|s| s.predicts() == Some(line))
+    }
+
+    /// Whether a stream with index below `i` predicts exactly `line`: the
+    /// table match would then pick it over `i` (an exact match beats
+    /// every window match, and the lowest index wins among exact ones).
+    pub(crate) fn preempts(&self, i: usize, line: u64) -> bool {
+        let below = (1u32 << i) - 1;
+        // The stale stream is filed under its old keys: always verify it.
+        indices((self.index.predicting(line) | self.stale) & below)
+            .any(|j| self.streams[j].predicts() == Some(line))
     }
 
     /// Fast-path observe for a line already known (via
     /// [`StridePrefetcher::expects`]) to be the exact predicted successor
-    /// of stream `i`: skips the table scan, performing the identical
-    /// state transition the scan-based observe would.
+    /// of stream `i`: skips the table match, performing the identical
+    /// state transition the matching observe would.
     pub(crate) fn observe_expected(&mut self, i: usize, line: u64, out: &mut Vec<u64>) {
         self.clock += 1;
+        self.touch(i);
         let s = &mut self.streams[i];
-        debug_assert!(s.stride != 0 && s.last.wrapping_add(s.stride as u64) == line);
+        debug_assert!(s.predicts() == Some(line));
         s.confidence = s.confidence.saturating_add(1);
         s.last = line;
         s.stamp = self.clock;
@@ -256,9 +422,10 @@ impl StridePrefetcher {
     /// emitted lines dropped unmaterialised.
     pub(crate) fn feed_denied(&mut self, i: usize, line: u64) {
         self.clock += 1;
+        self.touch(i);
         let advance = (self.degree as i64).wrapping_mul(self.streams[i].stride);
         let s = &mut self.streams[i];
-        debug_assert!(s.stride != 0 && s.last.wrapping_add(s.stride as u64) == line);
+        debug_assert!(s.predicts() == Some(line));
         // The regime implies a prior confirming feed, so the push budget
         // is live (confidence reaches >= 2 with this feed).
         debug_assert!(s.confidence >= 1);
@@ -274,8 +441,9 @@ impl StridePrefetcher {
     /// would have emitted.
     pub(crate) fn feed_parked(&mut self, i: usize, line: u64) -> u64 {
         self.clock += 1;
+        self.touch(i);
         let s = &mut self.streams[i];
-        debug_assert!(s.stride != 0 && s.last.wrapping_add(s.stride as u64) == line);
+        debug_assert!(s.predicts() == Some(line));
         debug_assert!(s.confidence >= 1);
         s.confidence = s.confidence.saturating_add(1);
         s.last = line;
@@ -285,49 +453,25 @@ impl StridePrefetcher {
         next
     }
 
-    /// How many consecutive lines of the arithmetic sequence starting at
-    /// `next_line` with stride `stride` are safe from exact-match capture
-    /// by a stream with index *below* `f` (the table scan breaks at the
-    /// first exact predicted match, so only lower indices can preempt
-    /// `f`; nearest-window candidates never beat an exact match).
-    pub(crate) fn capture_free_steps(&self, f: usize, next_line: u64, stride: i64) -> u64 {
-        debug_assert!(stride != 0);
-        let mut safe = u64::MAX;
-        for s in &self.streams[..f.min(self.streams.len())] {
-            if s.stride == 0 {
-                continue;
-            }
-            let predicted = s.last.wrapping_add(s.stride as u64);
-            // First k >= 0 with next_line + k*stride == predicted. The
-            // wrapped difference reinterpreted as signed is exact for all
-            // realistic distances (|diff| < 2^63). Division stays in
-            // 64-bit arithmetic (the 128-bit form compiles to a libcall
-            // on the replay hot path); unit strides avoid it entirely.
-            let diff = predicted.wrapping_sub(next_line) as i64;
-            let k: i128 = match stride {
-                1 => i128::from(diff),
-                -1 => -i128::from(diff),
-                st => match (diff.checked_rem(st), diff.checked_div(st)) {
-                    (Some(r), _) if r != 0 => continue,
-                    (Some(_), Some(q)) => i128::from(q),
-                    // i64::MIN / -1 style overflow: widen.
-                    _ => {
-                        let (d, w) = (i128::from(diff), i128::from(st));
-                        if d % w != 0 {
-                            continue;
-                        }
-                        d / w
-                    }
-                },
-            };
-            if (0..safe as i128).contains(&k) {
-                safe = k as u64;
-                if safe == 0 {
-                    return 0;
-                }
-            }
-        }
-        safe
+    /// Whether stream `i` can never issue: the unit-stride restriction
+    /// silences every other stride, and expected feeds keep the stride.
+    pub(crate) fn silent(&self, i: usize) -> bool {
+        !self.issues_for(self.streams[i].stride)
+    }
+
+    /// `n` expected feeds of silent stream `i` in one step: the lines
+    /// `first`, `first + stride`, … that [`StridePrefetcher::expects`]
+    /// would accept one after the other. Each would only advance the
+    /// clock, bump the confidence and move `last` and the stamp.
+    pub(crate) fn feed_silent(&mut self, i: usize, first: u64, n: u64) {
+        self.clock += n;
+        self.touch(i);
+        let s = &mut self.streams[i];
+        debug_assert!(n > 0 && s.predicts() == Some(first));
+        s.confidence =
+            u8::try_from(u64::from(s.confidence).saturating_add(n)).unwrap_or(u8::MAX);
+        s.last = first.wrapping_add((s.stride as u64).wrapping_mul(n - 1));
+        s.stamp = self.clock;
     }
 
     /// Streams allocated so far (see the `creations` field).
@@ -347,20 +491,17 @@ impl StridePrefetcher {
         self.clock += n;
     }
 
-    /// Immutable view of the stream table, index order (creation order up
-    /// to `swap_remove` permutations), for state snapshots.
-    pub(crate) fn streams(&self) -> &[Stream] {
+    /// The stream table in index order (creation order up to
+    /// `swap_remove` permutations).
+    pub fn streams(&self) -> &[Stream] {
         &self.streams
-    }
-
-    /// Mutable view of the stream table, for state translation.
-    pub(crate) fn streams_mut(&mut self) -> &mut [Stream] {
-        &mut self.streams
     }
 
     /// Drops all tracked streams.
     pub fn reset(&mut self) {
+        self.index.unfile_all(self.streams.len());
         self.streams.clear();
+        self.stale = 0;
         self.creations = 0;
     }
 }
@@ -378,12 +519,12 @@ impl crate::strategy::Prefetcher for StridePrefetcher {
         StridePrefetcher::expects(self, i, line)
     }
 
-    fn observe_expected(&mut self, i: usize, line: u64, out: &mut Vec<u64>) {
-        StridePrefetcher::observe_expected(self, i, line, out);
+    fn preempts(&self, i: usize, line: u64) -> bool {
+        StridePrefetcher::preempts(self, i, line)
     }
 
-    fn capture_free_steps(&self, i: usize, next_line: u64, stride: i64) -> u64 {
-        StridePrefetcher::capture_free_steps(self, i, next_line, stride)
+    fn observe_expected(&mut self, i: usize, line: u64, out: &mut Vec<u64>) {
+        StridePrefetcher::observe_expected(self, i, line, out);
     }
 
     fn ramp_state(&self, i: usize) -> Option<(i64, u64, u32)> {
@@ -396,6 +537,14 @@ impl crate::strategy::Prefetcher for StridePrefetcher {
 
     fn feed_parked(&mut self, i: usize, line: u64) -> u64 {
         StridePrefetcher::feed_parked(self, i, line)
+    }
+
+    fn silent(&self, i: usize) -> bool {
+        StridePrefetcher::silent(self, i)
+    }
+
+    fn feed_silent(&mut self, i: usize, first: u64, _stride: i64, n: u64) {
+        StridePrefetcher::feed_silent(self, i, first, n);
     }
 
     fn creations(&self) -> u64 {
@@ -416,7 +565,7 @@ impl crate::strategy::Prefetcher for StridePrefetcher {
 
     fn snapshot(&self) -> crate::strategy::PrefetchSnap {
         crate::strategy::PrefetchSnap(crate::strategy::SnapRepr::Streams {
-            streams: self.streams().to_vec(),
+            streams: self.streams.clone(),
             creations: self.creations,
         })
     }
@@ -437,9 +586,12 @@ impl crate::strategy::Prefetcher for StridePrefetcher {
     }
 
     fn translate(&mut self, shift: i64) {
-        for s in self.streams_mut() {
+        self.index.unfile_all(self.streams.len());
+        self.stale = 0;
+        for (i, s) in self.streams.iter_mut().enumerate() {
             s.last = s.last.wrapping_add_signed(shift);
             s.frontier = s.frontier.wrapping_add_signed(shift);
+            self.index.file(i, s);
         }
     }
 }
@@ -559,7 +711,7 @@ mod tests {
             fast.observe_expected(0, line, &mut buf);
             assert_eq!(slow, buf, "line {line}");
         }
-        assert_eq!(fast.capture_free_steps(0, 60, 3), u64::MAX);
+        assert!(!fast.preempts(0, 60), "a lone stream is never preempted");
     }
 
     #[test]
@@ -625,19 +777,51 @@ mod tests {
     }
 
     #[test]
-    fn capture_free_steps_finds_lower_stream_collision() {
+    fn preempts_sees_only_lower_exact_predictions() {
         let mut p = StridePrefetcher::new(1, 20);
-        // Stream 0: stride 10 at last=100 (predicts 110).
+        // Stream 0: stride 10 at last=110 (predicts 120).
         p.observe(100);
-        p.observe(110); // wait — delta 10 within window, stride 10 now
-                        // Stream 1: far away, stride 4 at last=1_000_000.
+        p.observe(110);
+        // Stream 1: far away, stride 4 at last=1_000_004.
         p.observe(1_000_000);
         p.observe(1_000_004);
-        // Stream 1's lines 1_000_008, 1_000_012, ... never collide with
-        // stream 0's prediction of 120.
-        assert_eq!(p.capture_free_steps(1, 1_000_008, 4), u64::MAX);
-        // A sequence that walks straight into the prediction: from 100,
-        // stride 5 → 100+4*5 = 120 = stream 0's predicted line.
-        assert_eq!(p.capture_free_steps(1, 100, 5), 4);
+        assert!(p.preempts(1, 120), "stream 0 predicts 120");
+        assert!(!p.preempts(1, 1_000_008));
+        // Only lower indices preempt: stream 0 is never preempted by 1.
+        assert!(!p.preempts(0, 1_000_008));
+        // A window match (115 is 5 from stream 0) does not preempt.
+        assert!(!p.preempts(1, 115));
+        // Feeding stream 0 on the fast path leaves it stale in the index;
+        // its new prediction must still be seen.
+        let mut out = Vec::new();
+        p.observe_expected(0, 120, &mut out);
+        assert!(p.preempts(1, 130));
+        assert!(!p.preempts(1, 120));
+    }
+
+    #[test]
+    fn silent_feeds_in_bulk_match_one_by_one() {
+        // The stream engine never issues for stride 3.
+        let mut bulk = StridePrefetcher::stream(2, 20, 2);
+        for line in [0u64, 3, 6] {
+            bulk.observe(line);
+        }
+        let mut single = bulk.clone();
+        assert!(bulk.silent(0));
+        let mut out = Vec::new();
+        for k in 0..300u64 {
+            single.observe_expected(0, 9 + 3 * k, &mut out);
+        }
+        assert!(out.is_empty());
+        bulk.feed_silent(0, 9, 300);
+        assert_eq!(bulk.streams(), single.streams(), "confidence saturates at 255");
+        // Clocks agree too: the next allocation stamps alike.
+        assert_eq!(bulk.observe(1 << 30), single.observe(1 << 30));
+        assert_eq!(bulk.streams(), single.streams());
+        assert!(!StridePrefetcher::stream(2, 20, 2).issues_for(-2));
+        let mut unit = StridePrefetcher::stream(2, 20, 2);
+        unit.observe(50);
+        unit.observe(49);
+        assert!(!unit.silent(0), "descending unit stride issues");
     }
 }

@@ -9,15 +9,19 @@
 //!    wants fetched. The hierarchy routes level-0 emissions into L1 and
 //!    level-`k` emissions into levels `k..` bottom-up, through the shared
 //!    accuracy throttle.
-//! 2. **Steady state** — the run-compressed replay engine (PR 5) may
-//!    lock onto a stream via [`Prefetcher::expects`] and feed it through
-//!    the O(1) [`Prefetcher::observe_expected`] /
-//!    [`Prefetcher::feed_denied`] / [`Prefetcher::feed_parked`] paths for
-//!    as long as [`Prefetcher::capture_free_steps`] proves no
-//!    lower-indexed stream can capture the run. Every fast-path
-//!    transition must be *bit-identical* to the scan path it replaces;
-//!    the defaults opt out (`expects` false), which degrades to per-line
-//!    scans and is therefore always correct.
+//! 2. **Steady state** — the run-compressed replay engine may lock onto
+//!    a stream via [`Prefetcher::expects`] and feed it through the O(1)
+//!    [`Prefetcher::observe_expected`] / [`Prefetcher::feed_denied`] /
+//!    [`Prefetcher::feed_parked`] paths. Before each fed line it asks
+//!    [`Prefetcher::preempts`] whether another stream would capture that
+//!    line first; if so, the line takes the full observe. A stream that
+//!    can never issue ([`Prefetcher::silent`]) is not fed line by line:
+//!    the engine counts its lines and applies them in one
+//!    [`Prefetcher::feed_silent`] step when the lock ends. Every
+//!    fast-path transition must be *bit-identical* to the observe it
+//!    replaces; the defaults opt out (`expects` false, `preempts` true),
+//!    which degrades to one full observe per miss and is therefore always
+//!    correct.
 //! 3. **Translation** — the cycle skipper extrapolates a verified
 //!    steady-state iteration only if every unit's state matches its
 //!    snapshot under a `t`-line translation
@@ -81,12 +85,12 @@ pub trait Prefetcher: std::fmt::Debug + Send + Sync {
         let _ = self.observe_into(line, out);
     }
 
-    /// How many consecutive lines of the arithmetic sequence starting at
-    /// `next_line` with stride `stride` are safe from capture by a stream
-    /// with index below `i`. The run engine re-scans after this many
-    /// expected feeds; `0` (the default) forces a scan per line.
-    fn capture_free_steps(&self, _i: usize, _next_line: u64, _stride: i64) -> u64 {
-        0
+    /// Whether a stream other than `i` would capture `line`, which `i`
+    /// [`expects`](Prefetcher::expects), in a full observe. The run engine
+    /// asks before every fast feed and takes the full observe when this
+    /// holds; `true` (the default) forces that observe on every line.
+    fn preempts(&self, _i: usize, _line: u64) -> bool {
+        true
     }
 
     /// Ramp-regime view of stream `i` for the run engine's throttle-aware
@@ -117,6 +121,25 @@ pub trait Prefetcher: std::fmt::Debug + Send + Sync {
         let mut out = Vec::new();
         self.observe_expected(i, line, &mut out);
         out.pop().unwrap_or(line)
+    }
+
+    /// Whether stream `i` can never issue, so an expected feed changes
+    /// nothing but the unit's own counters. The run engine then defers
+    /// the stream's feeds to one [`Prefetcher::feed_silent`] call.
+    fn silent(&self, _i: usize) -> bool {
+        false
+    }
+
+    /// `n` expected feeds of a [`silent`](Prefetcher::silent) stream `i`
+    /// in one step: the lines `first`, `first + stride`, … Must equal `n`
+    /// [`Prefetcher::observe_expected`] calls, which is the default.
+    fn feed_silent(&mut self, i: usize, first: u64, stride: i64, n: u64) {
+        let mut dropped = Vec::new();
+        let mut line = first;
+        for _ in 0..n {
+            self.observe_expected(i, line, &mut dropped);
+            line = line.wrapping_add_signed(stride);
+        }
     }
 
     /// Streams allocated since construction/reset. The cycle skipper
@@ -394,7 +417,8 @@ mod tests {
         }
         let mut c = Custom;
         assert!(!c.expects(0, 1));
-        assert_eq!(c.capture_free_steps(0, 1, 1), 0);
+        assert!(c.preempts(0, 1), "default preemption forces the full observe");
+        assert!(!c.silent(0));
         assert!(c.ramp_state(0).is_none());
         let snap = c.snapshot();
         assert!(!c.matches_translated(&snap, 0), "default is no cycle skipping");

@@ -106,6 +106,7 @@ pub struct RunCtl {
     timings: RefCell<Vec<PassTiming>>,
     defers_writes: bool,
     writes: RefCell<Vec<(Fingerprint, Arc<[u8]>)>>,
+    cache: Cell<CacheStats>,
 }
 
 /// One pass request of a run, as timed by
@@ -142,6 +143,7 @@ impl RunCtl {
             timings: RefCell::new(Vec::new()),
             defers_writes: false,
             writes: RefCell::new(Vec::new()),
+            cache: Cell::new(CacheStats::default()),
         }
     }
 
@@ -212,6 +214,20 @@ impl RunCtl {
     /// Drains the recorded disk writes (in execution order).
     pub(crate) fn take_writes(&self) -> Vec<(Fingerprint, Arc<[u8]>)> {
         std::mem::take(&mut self.writes.borrow_mut())
+    }
+
+    /// Runs `f` on this run's cache counters.
+    pub(crate) fn tally<R>(&self, f: impl FnOnce(&mut CacheStats) -> R) -> R {
+        let mut run = self.cache.get();
+        let out = f(&mut run);
+        self.cache.set(run);
+        out
+    }
+
+    /// The run's cache window so far: what its own lookups, bypasses and
+    /// writes did, whatever other runs of the session do meanwhile.
+    pub fn cache_window(&self) -> CacheStats {
+        self.cache.get()
     }
 }
 
@@ -334,7 +350,9 @@ impl CacheStats {
 /// in-memory hit is an `Arc` clone, a disk hit decodes once and is
 /// promoted, and a cold run computes, [`stage`](ArtifactCache::stage)s
 /// into memory and [`persist`](ArtifactCache::persist)s to disk at the
-/// end of the run. The pass name
+/// end of the run. Every operation counts into the cache's lifetime
+/// counters and into the caller's run window (a [`CacheStats`]). The
+/// pass name
 /// and version are stamped in every frame header and checked on every
 /// disk-served hit; any mismatch or decode failure counts an anomaly,
 /// heals the entry, and degrades to a miss.
@@ -384,42 +402,50 @@ impl ArtifactCache {
         self.store.persistent()
     }
 
-    fn count_miss(&self) -> Option<std::convert::Infallible> {
+    fn count_hit(&self, run: &mut CacheStats) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        run.hits += 1;
+    }
+
+    fn count_miss(&self, run: &mut CacheStats) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        run.misses += 1;
     }
 
     /// Heals an invalid entry: counts the anomaly, drops the entry from
     /// every tier, and reports the lookup as a miss.
-    fn count_anomaly(&self, key: Fingerprint) -> Option<std::convert::Infallible> {
+    fn count_anomaly(&self, key: Fingerprint, run: &mut CacheStats) {
         self.anomalies.fetch_add(1, Ordering::Relaxed);
-        self.store.remove(key);
-        self.count_miss()
+        run.anomalies += 1;
+        self.store.heal(key, run);
+        self.count_miss(run);
     }
 
     /// The artifact under `key`, if a valid one is cached for this
-    /// `(pass, pass_version)`. Counts a hit, a miss, or an anomaly.
+    /// `(pass, pass_version)`. Counts a hit, a miss, or an anomaly, into
+    /// the lifetime counters and into `run`.
     pub fn get<T: Codec + Send + Sync + 'static>(
         &self,
         key: Fingerprint,
         pass: &str,
         pass_version: u32,
+        run: &mut CacheStats,
     ) -> Option<Arc<T>> {
-        let Some(stored) = self.store.get(key) else {
-            self.count_miss();
+        let Some(stored) = self.store.lookup(key, run) else {
+            self.count_miss(run);
             return None;
         };
         if let Some(value) = &stored.value {
             // A memory-tier hit: the decoded artifact is already shared.
             return match value.clone().downcast::<T>() {
                 Ok(hit) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.count_hit(run);
                     Some(hit)
                 }
                 Err(_) => {
                     // Unreachable while keys fold pass identity; healed
                     // as an anomaly if it ever happens.
-                    self.count_anomaly(key);
+                    self.count_anomaly(key, run);
                     None
                 }
             };
@@ -438,12 +464,13 @@ impl ArtifactCache {
                 self.store.put_mem(
                     key,
                     StoredArtifact { value: Some(artifact.clone()), bytes: stored.bytes },
+                    run,
                 );
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.count_hit(run);
                 Some(artifact)
             }
             None => {
-                self.count_anomaly(key);
+                self.count_anomaly(key, run);
                 None
             }
         }
@@ -459,8 +486,9 @@ impl ArtifactCache {
         pass_version: u32,
         artifact: Arc<T>,
     ) {
-        if let Some(bytes) = self.stage(key, pass, pass_version, artifact) {
-            self.persist(key, bytes);
+        let mut run = CacheStats::default();
+        if let Some(bytes) = self.stage(key, pass, pass_version, artifact, &mut run) {
+            self.persist(key, bytes, &mut run);
         }
     }
 
@@ -474,22 +502,25 @@ impl ArtifactCache {
         pass: &str,
         pass_version: u32,
         artifact: Arc<T>,
+        run: &mut CacheStats,
     ) -> Option<Arc<[u8]>> {
         let bytes: Arc<[u8]> =
             frame::encode_frame(pass, pass_version, &artifact.encode_to_vec()).into();
-        self.store.put_mem(key, StoredArtifact { value: Some(artifact), bytes: bytes.clone() });
+        let stored = StoredArtifact { value: Some(artifact), bytes: bytes.clone() };
+        self.store.put_mem(key, stored, run);
         self.persistent().then_some(bytes)
     }
 
     /// Writes a [`stage`](ArtifactCache::stage)d artifact's framed bytes
     /// to the disk tier.
-    pub fn persist(&self, key: Fingerprint, bytes: Arc<[u8]>) {
-        self.store.persist(key, bytes);
+    pub fn persist(&self, key: Fingerprint, bytes: Arc<[u8]>, run: &mut CacheStats) {
+        self.store.persist(key, bytes, run);
     }
 
     /// Counts one cache-bypassed request.
-    pub fn count_bypass(&self) {
+    pub fn count_bypass(&self, run: &mut CacheStats) {
         self.bypasses.fetch_add(1, Ordering::Relaxed);
+        run.bypasses += 1;
     }
 
     /// Artifacts currently resident in the memory tier.
@@ -527,31 +558,36 @@ mod tests {
 
     #[test]
     fn cache_round_trips_and_counts() {
+        let mut run = CacheStats::default();
         let cache = ArtifactCache::new();
-        assert!(cache.get::<String>(key(1), "p", 1).is_none());
+        assert!(cache.get::<String>(key(1), "p", 1, &mut run).is_none());
         cache.insert(key(1), "p", 1, Arc::new("artifact".to_string()));
-        assert_eq!(*cache.get::<String>(key(1), "p", 1).unwrap(), "artifact");
-        cache.count_bypass();
+        assert_eq!(*cache.get::<String>(key(1), "p", 1, &mut run).unwrap(), "artifact");
+        cache.count_bypass(&mut run);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.bypasses, s.anomalies), (1, 1, 1, 0));
         assert_eq!(s.hit_rate(), 0.5);
+        // The run window saw every operation but the insert.
+        assert_eq!(run, CacheStats { mem: TierStats { bytes_written: 0, ..s.mem }, ..s });
         assert_eq!(cache.len(), 1);
         assert!(!cache.persistent());
     }
 
     #[test]
     fn mismatched_type_is_healed_as_an_anomaly() {
+        let mut run = CacheStats::default();
         let cache = ArtifactCache::new();
         cache.insert(key(2), "p", 1, Arc::new(7u64));
-        assert!(cache.get::<String>(key(2), "p", 1).is_none());
+        assert!(cache.get::<String>(key(2), "p", 1, &mut run).is_none());
         let s = cache.stats();
         assert_eq!((s.anomalies, s.misses), (1, 1));
         // The poisoned entry was dropped, so even the right type misses.
-        assert!(cache.get::<u64>(key(2), "p", 1).is_none());
+        assert!(cache.get::<u64>(key(2), "p", 1, &mut run).is_none());
     }
 
     #[test]
     fn a_disk_served_artifact_decodes_promotes_and_replays() {
+        let mut run = CacheStats::default();
         let root =
             std::env::temp_dir().join(format!("palo-cache-promote-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -562,10 +598,10 @@ mod tests {
         drop(cold);
 
         let warm = ArtifactCache::with_config(&config).unwrap();
-        assert_eq!(*warm.get::<u64>(key(3), "p", 2).unwrap(), 41);
+        assert_eq!(*warm.get::<u64>(key(3), "p", 2, &mut run).unwrap(), 41);
         assert_eq!(warm.stats().disk.hits, 1);
         // Promoted: the second hit is served by the memory tier.
-        assert_eq!(*warm.get::<u64>(key(3), "p", 2).unwrap(), 41);
+        assert_eq!(*warm.get::<u64>(key(3), "p", 2, &mut run).unwrap(), 41);
         assert_eq!(warm.stats().disk.hits, 1);
         assert_eq!(warm.stats().hits, 2);
         let _ = std::fs::remove_dir_all(&root);
@@ -573,6 +609,7 @@ mod tests {
 
     #[test]
     fn a_pass_version_bump_invalidates_disk_artifacts() {
+        let mut run = CacheStats::default();
         let root =
             std::env::temp_dir().join(format!("palo-cache-version-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -585,7 +622,7 @@ mod tests {
         // Same key, newer pass version: the stale frame is an anomaly,
         // healed and served as a miss.
         let warm = ArtifactCache::with_config(&config).unwrap();
-        assert!(warm.get::<u64>(key(4), "p", 2).is_none());
+        assert!(warm.get::<u64>(key(4), "p", 2, &mut run).is_none());
         let s = warm.stats();
         assert_eq!((s.anomalies, s.misses, s.hits), (1, 1, 0));
         let _ = std::fs::remove_dir_all(&root);
@@ -593,6 +630,7 @@ mod tests {
 
     #[test]
     fn bounded_config_evicts_but_never_changes_values() {
+        let mut run = CacheStats::default();
         let config = CacheConfig {
             policy: PolicyKind::Lru,
             capacity_entries: Some(1),
@@ -604,8 +642,8 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().mem.evictions, 1);
         // The survivor is intact; the evictee is a miss, never garbage.
-        assert!(cache.get::<u64>(key(5), "p", 1).is_none());
-        assert_eq!(*cache.get::<u64>(key(6), "p", 1).unwrap(), 6);
+        assert!(cache.get::<u64>(key(5), "p", 1, &mut run).is_none());
+        assert_eq!(*cache.get::<u64>(key(6), "p", 1, &mut run).unwrap(), 6);
     }
 
     #[test]

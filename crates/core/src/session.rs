@@ -171,21 +171,26 @@ impl Session {
             PassCx { arch: &self.arch, config: &self.config, resolved: &self.resolved, ctl };
         let key = if ctl.faults().armed() { None } else { pass.fingerprint(&cx, input) };
         let Some(key) = key else {
-            self.cache.count_bypass();
+            ctl.tally(|run| self.cache.count_bypass(run));
             let out = pass.run(&cx, input).map(Arc::new);
             ctl.record_pass(pass.name(), t0.elapsed(), false);
             return out;
         };
-        if let Some(hit) = self.cache.get::<P::Output>(key, pass.name(), pass.version()) {
+        let hit =
+            ctl.tally(|run| self.cache.get::<P::Output>(key, pass.name(), pass.version(), run));
+        if let Some(hit) = hit {
             ctl.record_pass(pass.name(), t0.elapsed(), true);
             return Ok(hit);
         }
         let run = pass.run(&cx, input);
         ctl.record_pass(pass.name(), t0.elapsed(), false);
         let artifact = Arc::new(run?);
-        match self.cache.stage(key, pass.name(), pass.version(), artifact.clone()) {
+        let staged = ctl.tally(|run| {
+            self.cache.stage(key, pass.name(), pass.version(), artifact.clone(), run)
+        });
+        match staged {
             Some(bytes) if ctl.defers_writes() => ctl.defer_write(key, bytes),
-            Some(bytes) => self.cache.persist(key, bytes),
+            Some(bytes) => ctl.tally(|run| self.cache.persist(key, bytes, run)),
             None => {}
         }
         Ok(artifact)
@@ -241,7 +246,6 @@ impl Session {
     ) -> (Result<PipelineOutcome, PaloError>, PendingWrites<'_>) {
         let run = self.pending(overrides);
         let ctl = &run.ctl;
-        let before = self.cache.stats();
         let mut failures: Vec<RungFailure> = Vec::new();
 
         let optimized = self
@@ -256,7 +260,7 @@ impl Session {
         };
 
         let proposed = decision.as_ref().map(|d| d.schedule().clone());
-        (self.finish(nest, decision, proposed, search, failures, ctl, before), run)
+        (self.finish(nest, decision, proposed, search, failures, ctl), run)
     }
 
     /// Executes the degradation ladder for a caller-supplied schedule
@@ -290,16 +294,8 @@ impl Session {
     ) -> Result<PipelineOutcome, PaloError> {
         self.persisted(|| {
             let run = self.pending(overrides);
-            let before = self.cache.stats();
-            let out = self.finish(
-                nest,
-                None,
-                Some(proposed.clone()),
-                None,
-                Vec::new(),
-                &run.ctl,
-                before,
-            );
+            let out =
+                self.finish(nest, None, Some(proposed.clone()), None, Vec::new(), &run.ctl);
             (out, run)
         })
     }
@@ -317,11 +313,10 @@ impl Session {
         &'s self,
         run: impl FnOnce() -> (Result<PipelineOutcome, PaloError>, PendingWrites<'s>),
     ) -> Result<PipelineOutcome, PaloError> {
-        let before = self.cache.stats();
         let (out, writes) = run();
-        writes.persist();
+        let window = writes.persist_window();
         out.map(|mut out| {
-            out.report.cache = self.cache.stats().since(&before);
+            out.report.cache = window;
             out
         })
     }
@@ -337,7 +332,6 @@ impl Session {
         search: Option<SearchStats>,
         mut failures: Vec<RungFailure>,
         ctl: &RunCtl,
-        before: CacheStats,
     ) -> Result<PipelineOutcome, PaloError> {
         let ladder =
             self.execute(&DegradePass, ctl, &(nest, proposed.as_ref()))?.ladder.clone();
@@ -388,7 +382,7 @@ impl Session {
                 search,
                 model: self.config.optimizer.model,
                 breakdown,
-                cache: self.cache.stats().since(&before),
+                cache: ctl.cache_window(),
                 timings: ctl.take_timings(),
                 elapsed: ctl.start().elapsed(),
             },
@@ -433,13 +427,23 @@ impl PendingWrites<'_> {
     pub fn persist(self) {
         // `Drop` does the work.
     }
+
+    /// Persists, and returns the run's cache window with the writes.
+    fn persist_window(self) -> CacheStats {
+        self.write_all();
+        self.ctl.cache_window()
+    }
+
+    fn write_all(&self) {
+        for (key, bytes) in self.ctl.take_writes() {
+            self.ctl.tally(|run| self.cache.persist(key, bytes, run));
+        }
+    }
 }
 
 impl Drop for PendingWrites<'_> {
     fn drop(&mut self) {
-        for (key, bytes) in self.ctl.take_writes() {
-            self.cache.persist(key, bytes);
-        }
+        self.write_all();
     }
 }
 

@@ -78,49 +78,55 @@ impl DiskStore {
 
     /// Counts an anomaly and best-effort deletes the offending file so
     /// the store heals itself instead of tripping on every lookup.
-    fn quarantine(&self, path: &Path) {
+    /// Returns the lookup's counter movement: a miss, plus the eviction.
+    fn quarantine(&self, path: &Path) -> TierStats {
         self.anomalies.fetch_add(1, Ordering::Relaxed);
-        if fs::remove_file(path).is_ok() {
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let evictions = u64::from(fs::remove_file(path).is_ok());
+        TierStats { evictions, ..TierStats::lookup(false) }
     }
-}
 
-impl ArtifactStore for DiskStore {
-    fn get(&self, key: Fingerprint) -> Option<StoredArtifact> {
+    /// [`ArtifactStore::get`], also returning the counter movement and
+    /// the anomalies it found (0 or 1).
+    pub(crate) fn fetch(&self, key: Fingerprint) -> (Option<StoredArtifact>, TierStats, u64) {
         let path = self.path_of(key);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                if e.kind() != std::io::ErrorKind::NotFound {
-                    // Unreadable is corruption, plain absence is not.
-                    self.quarantine(&path);
-                }
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
+        let (found, d, anomalies) = match fs::read(&path) {
+            // Validate the envelope before serving: a torn or bit-rotted
+            // entry must read as a miss, not reach the typed layer.
+            Ok(bytes) if frame::decode_frame(&bytes).is_ok() => (
+                Some(StoredArtifact { value: None, bytes: bytes.into() }),
+                TierStats::lookup(true),
+                0,
+            ),
+            Ok(_) => (None, self.quarantine(&path), 1),
+            // Unreadable is corruption, plain absence is not.
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                (None, self.quarantine(&path), 1)
             }
+            Err(_) => (None, TierStats::lookup(false), 0),
         };
-        // Validate the envelope before serving: a torn or bit-rotted
-        // entry must read as a miss, not reach the typed layer.
-        if frame::decode_frame(&bytes).is_err() {
-            self.quarantine(&path);
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        Some(StoredArtifact { value: None, bytes: bytes.into() })
+        self.counters.add(&d);
+        (found, d, anomalies)
     }
 
-    fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
+    /// [`ArtifactStore::put`], also returning the counter movement.
+    pub(crate) fn store(&self, key: Fingerprint, artifact: StoredArtifact) -> TierStats {
+        let d = TierStats { bytes_written: self.write(key, &artifact), ..TierStats::default() };
+        self.counters.add(&d);
+        d
+    }
+
+    /// Writes `artifact` under `key` unless an entry exists, returning
+    /// the bytes written.
+    fn write(&self, key: Fingerprint, artifact: &StoredArtifact) -> u64 {
         let path = self.path_of(key);
         if path.exists() {
             // Content-addressed: an existing entry already holds these
             // bytes (or is corrupt, and the next get heals it).
-            return;
+            return 0;
         }
-        let Some(shard) = path.parent() else { return };
+        let Some(shard) = path.parent() else { return 0 };
         if fs::create_dir_all(shard).is_err() {
-            return;
+            return 0;
         }
         // Unique temp name per write, then an atomic rename: readers
         // and racing writers never see a partial file.
@@ -130,18 +136,33 @@ impl ArtifactStore for DiskStore {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         if fs::write(&tmp, &artifact.bytes).is_ok() && fs::rename(&tmp, &path).is_ok() {
-            self.counters
-                .bytes_written
-                .fetch_add(artifact.bytes.len() as u64, Ordering::Relaxed);
+            artifact.bytes.len() as u64
         } else {
             let _ = fs::remove_file(&tmp);
+            0
         }
     }
 
+    /// [`ArtifactStore::remove`], also returning the counter movement.
+    pub(crate) fn evict(&self, key: Fingerprint) -> TierStats {
+        let evictions = u64::from(fs::remove_file(self.path_of(key)).is_ok());
+        let d = TierStats { evictions, ..TierStats::default() };
+        self.counters.add(&d);
+        d
+    }
+}
+
+impl ArtifactStore for DiskStore {
+    fn get(&self, key: Fingerprint) -> Option<StoredArtifact> {
+        self.fetch(key).0
+    }
+
+    fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
+        self.store(key, artifact);
+    }
+
     fn remove(&self, key: Fingerprint) {
-        if fs::remove_file(self.path_of(key)).is_ok() {
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.evict(key);
     }
 
     fn len(&self) -> usize {

@@ -6,7 +6,6 @@ use crate::store::{
     ArtifactStore, CachePolicy, PolicyKind, StoredArtifact, TierCounters, TierStats,
 };
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 /// The original unbounded in-process map — every artifact stays until
@@ -22,23 +21,34 @@ impl MemStore {
     pub fn new() -> Self {
         MemStore::default()
     }
+
+    /// [`ArtifactStore::get`], also returning the counter movement.
+    pub(crate) fn fetch(&self, key: Fingerprint) -> (Option<StoredArtifact>, TierStats) {
+        let found = self.map.lock().ok().and_then(|map| map.get(&key).cloned());
+        let d = TierStats::lookup(found.is_some());
+        self.counters.add(&d);
+        (found, d)
+    }
+
+    /// [`ArtifactStore::put`], also returning the counter movement.
+    pub(crate) fn store(&self, key: Fingerprint, artifact: StoredArtifact) -> TierStats {
+        let d =
+            TierStats { bytes_written: artifact.bytes.len() as u64, ..TierStats::default() };
+        self.counters.add(&d);
+        if let Ok(mut map) = self.map.lock() {
+            map.insert(key, artifact);
+        }
+        d
+    }
 }
 
 impl ArtifactStore for MemStore {
     fn get(&self, key: Fingerprint) -> Option<StoredArtifact> {
-        let found = self.map.lock().ok().and_then(|map| map.get(&key).cloned());
-        match &found {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.fetch(key).0
     }
 
     fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
-        self.counters.bytes_written.fetch_add(artifact.bytes.len() as u64, Ordering::Relaxed);
-        if let Ok(mut map) = self.map.lock() {
-            map.insert(key, artifact);
-        }
+        self.store(key, artifact);
     }
 
     fn remove(&self, key: Fingerprint) {
@@ -101,22 +111,23 @@ impl BoundedMemStore {
             || self.capacity_bytes.is_some_and(|cap| inner.bytes > cap)
     }
 
-    /// Evicts policy victims until the store fits its caps. The victim
-    /// may be the entry just inserted — a cache too small for an
-    /// artifact simply will not hold it.
-    fn enforce(&self, inner: &mut BoundedInner) {
+    /// Evicts policy victims until the store fits its caps, returning
+    /// how many it evicted. The victim may be the entry just inserted —
+    /// a cache too small for an artifact simply will not hold it.
+    fn enforce(&self, inner: &mut BoundedInner) -> u64 {
+        let mut evicted = 0;
         while self.over_capacity(inner) {
             let Some(victim) = inner.policy.victim() else { break };
             if let Some(gone) = inner.map.remove(&victim) {
                 inner.bytes = inner.bytes.saturating_sub(gone.bytes.len() as u64);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                evicted += 1;
             }
         }
+        evicted
     }
-}
 
-impl ArtifactStore for BoundedMemStore {
-    fn get(&self, key: Fingerprint) -> Option<StoredArtifact> {
+    /// [`ArtifactStore::get`], also returning the counter movement.
+    pub(crate) fn fetch(&self, key: Fingerprint) -> (Option<StoredArtifact>, TierStats) {
         let found = self.inner.lock().ok().and_then(|mut inner| {
             let found = inner.map.get(&key).cloned();
             if found.is_some() {
@@ -124,15 +135,15 @@ impl ArtifactStore for BoundedMemStore {
             }
             found
         });
-        match &found {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        let d = TierStats::lookup(found.is_some());
+        self.counters.add(&d);
+        (found, d)
     }
 
-    fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
-        self.counters.bytes_written.fetch_add(artifact.bytes.len() as u64, Ordering::Relaxed);
+    /// [`ArtifactStore::put`], also returning the counter movement.
+    pub(crate) fn store(&self, key: Fingerprint, artifact: StoredArtifact) -> TierStats {
+        let mut d =
+            TierStats { bytes_written: artifact.bytes.len() as u64, ..TierStats::default() };
         if let Ok(mut inner) = self.inner.lock() {
             let added = artifact.bytes.len() as u64;
             match inner.map.insert(key, artifact) {
@@ -147,8 +158,20 @@ impl ArtifactStore for BoundedMemStore {
                     inner.policy.on_insert(key);
                 }
             }
-            self.enforce(&mut inner);
+            d.evictions = self.enforce(&mut inner);
         }
+        self.counters.add(&d);
+        d
+    }
+}
+
+impl ArtifactStore for BoundedMemStore {
+    fn get(&self, key: Fingerprint) -> Option<StoredArtifact> {
+        self.fetch(key).0
+    }
+
+    fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
+        self.store(key, artifact);
     }
 
     fn remove(&self, key: Fingerprint) {

@@ -111,7 +111,29 @@ pub(crate) struct TierCounters {
     pub(crate) bytes_written: AtomicU64,
 }
 
+impl TierStats {
+    /// One lookup's movement: a hit or a miss.
+    pub(crate) fn lookup(hit: bool) -> TierStats {
+        TierStats { hits: u64::from(hit), misses: u64::from(!hit), ..TierStats::default() }
+    }
+}
+
 impl TierCounters {
+    /// Adds one operation's counter movement, touching only the
+    /// counters that move (concurrent runs share these cache lines).
+    pub(crate) fn add(&self, d: &TierStats) {
+        for (counter, n) in [
+            (&self.hits, d.hits),
+            (&self.misses, d.misses),
+            (&self.evictions, d.evictions),
+            (&self.bytes_written, d.bytes_written),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
     pub(crate) fn snapshot(&self) -> TierStats {
         TierStats {
             hits: self.hits.load(Ordering::Relaxed),

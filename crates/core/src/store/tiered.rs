@@ -3,6 +3,7 @@
 
 use crate::error::PaloError;
 use crate::fingerprint::Fingerprint;
+use crate::pass::CacheStats;
 use crate::store::{
     ArtifactStore, BoundedMemStore, CacheConfig, DiskStore, MemStore, StoredArtifact, TierStats,
 };
@@ -19,6 +20,10 @@ use std::sync::Arc;
 ///   [`persist`](TieredStore::persist) are its two halves, for a caller
 ///   that answers from memory first and writes the disk tier later (the
 ///   session's run epilogue, DESIGN.md §15).
+///
+/// The session-facing operations also add what they did, tier by tier,
+/// to a caller's [`CacheStats`]: one run's cache window, exact however
+/// many runs share the store.
 #[derive(Debug)]
 pub struct TieredStore {
     mem: MemTier,
@@ -37,6 +42,20 @@ impl MemTier {
         match self {
             MemTier::Unbounded(s) => s,
             MemTier::Bounded(s) => s,
+        }
+    }
+
+    fn fetch(&self, key: Fingerprint) -> (Option<StoredArtifact>, TierStats) {
+        match self {
+            MemTier::Unbounded(s) => s.fetch(key),
+            MemTier::Bounded(s) => s.fetch(key),
+        }
+    }
+
+    fn store(&self, key: Fingerprint, artifact: StoredArtifact) -> TierStats {
+        match self {
+            MemTier::Unbounded(s) => s.store(key, artifact),
+            MemTier::Bounded(s) => s.store(key, artifact),
         }
     }
 }
@@ -68,20 +87,42 @@ impl TieredStore {
         TieredStore { mem: MemTier::Unbounded(MemStore::new()), disk: None }
     }
 
+    /// The artifact under `key`: from memory, else from disk (bytes
+    /// only), counting each tier's lookup into `run`.
+    pub fn lookup(&self, key: Fingerprint, run: &mut CacheStats) -> Option<StoredArtifact> {
+        let (hit, d) = self.mem.fetch(key);
+        run.mem.absorb(&d);
+        if hit.is_some() {
+            return hit;
+        }
+        let (hit, d, anomalies) = self.disk.as_ref()?.fetch(key);
+        run.disk.absorb(&d);
+        run.anomalies += anomalies;
+        hit
+    }
+
     /// Stores `artifact` in the memory tier only: a disk-served artifact
     /// promoted with its decoded value attached (the disk already holds
     /// it), or a fresh one whose disk write is [`persist`]ed later.
     ///
     /// [`persist`]: TieredStore::persist
-    pub fn put_mem(&self, key: Fingerprint, artifact: StoredArtifact) {
-        self.mem.as_store().put(key, artifact);
+    pub fn put_mem(&self, key: Fingerprint, artifact: StoredArtifact, run: &mut CacheStats) {
+        run.mem.absorb(&self.mem.store(key, artifact));
     }
 
     /// Writes framed `bytes` under `key` to the disk tier, if there is
     /// one. Leaves the memory tier alone.
-    pub fn persist(&self, key: Fingerprint, bytes: Arc<[u8]>) {
+    pub fn persist(&self, key: Fingerprint, bytes: Arc<[u8]>, run: &mut CacheStats) {
         if let Some(disk) = &self.disk {
-            disk.put(key, StoredArtifact { value: None, bytes });
+            run.disk.absorb(&disk.store(key, StoredArtifact { value: None, bytes }));
+        }
+    }
+
+    /// Drops the entry under `key` from every tier (corruption healing).
+    pub fn heal(&self, key: Fingerprint, run: &mut CacheStats) {
+        self.mem.as_store().remove(key);
+        if let Some(disk) = &self.disk {
+            run.disk.absorb(&disk.evict(key));
         }
     }
 
@@ -108,22 +149,17 @@ impl TieredStore {
 
 impl ArtifactStore for TieredStore {
     fn get(&self, key: Fingerprint) -> Option<StoredArtifact> {
-        if let Some(hit) = self.mem.as_store().get(key) {
-            return Some(hit);
-        }
-        self.disk.as_ref()?.get(key)
+        self.lookup(key, &mut CacheStats::default())
     }
 
     fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
-        self.persist(key, artifact.bytes.clone());
-        self.put_mem(key, artifact);
+        let mut run = CacheStats::default();
+        self.persist(key, artifact.bytes.clone(), &mut run);
+        self.put_mem(key, artifact, &mut run);
     }
 
     fn remove(&self, key: Fingerprint) {
-        self.mem.as_store().remove(key);
-        if let Some(disk) = &self.disk {
-            disk.remove(key);
-        }
+        self.heal(key, &mut CacheStats::default());
     }
 
     /// Entries resident in the *memory* tier (the session-facing count;

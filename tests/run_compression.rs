@@ -219,3 +219,23 @@ proptest! {
         }
     }
 }
+
+/// zen2's L2 unit is a stream engine: a stream whose stride is not ±1
+/// line never issues, so the run engine counts its feeds and applies
+/// them in one bulk step when the lock ends. With more threads than
+/// cores, two hardware threads share each L1 (half its ways), and a
+/// reduced syr2k whose inner `j` loop walks the columns
+/// `A[j][k]`/`B[j][k]` (a 64-float row is 4 lines, so a column maps to
+/// 16 of the 64 sets) misses L1 on ~94 % of its lines: long silent
+/// stretches, broken where the row walks' unit-stride streams preempt.
+#[test]
+fn zen2_shared_l1_silent_stream_feeds_compressed_equals_scalar() {
+    let arch = presets::amd_zen2();
+    let nest = palo::suite::kernels::syr2k(64).expect("valid nest");
+    for order in [["i", "k", "j"], ["k", "i", "j"]] {
+        let mut s = Schedule::new();
+        s.reorder(&order).parallel(order[0]);
+        assert!(s.lower(&nest).is_ok(), "{order:?} must lower");
+        assert_engines_agree(&nest, &s, &arch);
+    }
+}

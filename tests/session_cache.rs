@@ -277,3 +277,50 @@ fn deadline_hit_never_poisons_the_cache() {
     );
     assert_eq!(warm.report.estimate.as_ref().expect("warm estimate").ms.to_bits(), ref_bits);
 }
+
+/// Per-run cache windows are the run's own operations: on a session
+/// shared by two batch workers, the items' windows sum exactly to the
+/// session's counter movement — request counters and every tier's —
+/// with no run counting another's lookups or writes. Checked on a warm
+/// in-memory session, and cold and after a restart over a disk tier.
+#[test]
+fn concurrent_run_windows_sum_to_the_session_delta() {
+    let nests: Vec<LoopNest> = (0..8)
+        .map(|k| matmul(&format!("mm{k}"), 8 + 2 * k, 12, 10, DType::F32))
+        .chain((0..4).map(|k| copy2d(&format!("copy{k}"), 32 + 8 * k)))
+        .collect();
+    // One 2-worker batch: the sum of its items' windows, and the
+    // session's movement over the batch.
+    let windows = |session: &Session| {
+        let before = session.cache_stats();
+        let report = session.batch().with_threads(2).run(&nests);
+        let mut sum = palo::core::CacheStats::default();
+        for item in &report.items {
+            sum.absorb(&item.outcome.as_ref().expect("item succeeds").report.cache);
+        }
+        (sum, session.cache_stats().since(&before))
+    };
+
+    let session =
+        Session::new(&presets::intel_i7_6700(), PipelineConfig::default()).expect("session");
+    windows(&session);
+    let (sum, delta) = windows(&session);
+    assert_eq!(sum, delta, "warm memory session");
+    assert!(sum.hits > 0 && sum.misses == 0, "{sum:?}");
+
+    let dir = std::env::temp_dir().join(format!("palo-run-windows-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = PipelineConfig {
+        cache: palo::core::store::CacheConfig { dir: Some(dir.clone()), ..Default::default() },
+        ..PipelineConfig::default()
+    };
+    let cold = Session::new(&presets::intel_i7_6700(), config.clone()).expect("session");
+    let (sum, delta) = windows(&cold);
+    assert_eq!(sum, delta, "cold batch over a disk tier");
+    assert!(sum.disk.bytes_written > 0, "{sum:?}");
+    let restarted = Session::new(&presets::intel_i7_6700(), config).expect("session");
+    let (sum, delta) = windows(&restarted);
+    assert_eq!(sum, delta, "warm restart over a disk tier");
+    assert!(sum.disk.hits > 0 && sum.misses == 0, "{sum:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
