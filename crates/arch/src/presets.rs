@@ -310,6 +310,22 @@ pub mod repro {
     pub fn intel_i7_6700_no_prefetch() -> Architecture {
         shrink_llc(super::intel_i7_6700_no_prefetch())
     }
+
+    /// The scaled preset a command-line platform name selects: `5930k`,
+    /// `6700`, `a15`, `zen2`, `n1` or `nopf`, plus the aliases `5930K`,
+    /// `A15`, `arm`, `amd`, `neoverse` and `no-prefetch`. `None` for any
+    /// other name.
+    pub fn by_name(name: &str) -> Option<Architecture> {
+        match name {
+            "5930k" | "5930K" => Some(intel_i7_5930k()),
+            "6700" => Some(intel_i7_6700()),
+            "a15" | "A15" | "arm" => Some(arm_cortex_a15()),
+            "zen2" | "amd" => Some(amd_zen2()),
+            "n1" | "neoverse" => Some(arm_neoverse_n1()),
+            "nopf" | "no-prefetch" => Some(intel_i7_6700_no_prefetch()),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -359,5 +375,27 @@ mod tests {
         assert!(matches!(arm_neoverse_n1().l1().prefetcher, PrefetcherConfig::AdjacentPair));
         let nopf = intel_i7_6700_no_prefetch();
         assert!(nopf.caches.iter().all(|c| !c.prefetcher.is_enabled()));
+    }
+
+    #[test]
+    fn repro_by_name_resolves_every_alias() {
+        let table: [(&[&str], Architecture); 6] = [
+            (&["5930k", "5930K"], repro::intel_i7_5930k()),
+            (&["6700"], repro::intel_i7_6700()),
+            (&["a15", "A15", "arm"], repro::arm_cortex_a15()),
+            (&["zen2", "amd"], repro::amd_zen2()),
+            (&["n1", "neoverse"], repro::arm_neoverse_n1()),
+            (&["nopf", "no-prefetch"], repro::intel_i7_6700_no_prefetch()),
+        ];
+        for (aliases, want) in &table {
+            for &alias in *aliases {
+                let got = repro::by_name(alias).unwrap_or_else(|| panic!("{alias} unknown"));
+                assert_eq!(got.name, want.name, "{alias}");
+                assert_eq!(&got, want, "{alias}: not the scaled preset");
+            }
+        }
+        for unknown in ["", "6700K", "zen", "NOPF", "a15 "] {
+            assert!(repro::by_name(unknown).is_none(), "{unknown:?} resolved");
+        }
     }
 }

@@ -18,8 +18,7 @@
 //! the one fused lookup+victim scan on a wrong guess, so a repeat hit
 //! costs one compare and one stamp write. The table is only a hint —
 //! every guess is verified against `addrs`/`meta` — so it
-//! never needs invalidating and takes no part in snapshots or
-//! statistics.
+//! never needs invalidating and takes no part in statistics.
 
 /// Result of inserting a line: what fell out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +93,8 @@ impl Geometry {
 
     /// `line % sets` without a hardware division: a mask for
     /// power-of-two set counts, Lemire's direct remainder (exact for
-    /// operands below 2^32) otherwise, falling back to `%` only for
-    /// addresses wrapped past 2^32 by the cycle skipper's translation.
+    /// operands below 2^32) otherwise, falling back to `%` for lines at
+    /// or past 2^32.
     #[inline]
     fn index(self, line: u64) -> usize {
         if self.mask != u64::MAX {
@@ -427,17 +426,17 @@ impl Cache {
         }
     }
 
-    /// Number of sets (crate-internal: set-phase arithmetic and state
-    /// translation in the run engine).
-    pub(crate) fn set_count(&self) -> usize {
+    /// Number of sets.
+    #[cfg(test)]
+    fn set_count(&self) -> usize {
         self.geo.sets
     }
 
     /// Appends this cache's resident lines of set `set`, oldest first, as
     /// `(addr, flags)` pairs — recency *order* without the absolute
-    /// stamps, which drift between otherwise-identical steady-state
-    /// iterations.
-    pub(crate) fn set_entries_by_recency(&self, set: usize, out: &mut Vec<(u64, u64)>) {
+    /// stamps (the lockstep reference test compares whole images).
+    #[cfg(test)]
+    fn set_entries_by_recency(&self, set: usize, out: &mut Vec<(u64, u64)>) {
         let base = set * self.geo.ways;
         let from = out.len();
         for i in base..base + self.geo.ways {
@@ -448,27 +447,6 @@ impl Cache {
         out[from..].sort_unstable();
         for e in &mut out[from..] {
             *e = (e.1, e.0 & FLAG_BITS);
-        }
-    }
-
-    /// Translates the whole cache image by `lines` line addresses: every
-    /// resident address shifts by `lines`, and set contents rotate
-    /// accordingly (set index is `addr % nsets`). Recency stamps are
-    /// preserved per line. Used by the steady-state cycle skipper to
-    /// advance the cache image one period at a time in O(capacity).
-    pub(crate) fn translate(&mut self, lines: i64) {
-        let n = self.geo.sets as i64;
-        let shift = lines.rem_euclid(n) as usize;
-        for (a, &m) in self.addrs.iter_mut().zip(&self.meta) {
-            if m != 0 {
-                *a = a.wrapping_add_signed(lines);
-            }
-        }
-        if shift != 0 {
-            // Rotate set chunks: the lines of old set s now live in set
-            // (s + shift) % nsets.
-            self.addrs.rotate_right(shift * self.geo.ways);
-            self.meta.rotate_right(shift * self.geo.ways);
         }
     }
 }
@@ -577,24 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn translate_shifts_addresses_and_sets() {
-        let mut c = Cache::new(4, 2);
-        c.fill(1, true, false);
-        c.fill(6, false, true);
-        c.translate(3);
-        assert!(c.probe(4));
-        assert!(c.probe(9));
-        assert!(!c.probe(1));
-        assert_eq!(c.occupancy(), 2);
-        // Flags survive the shift.
-        assert!(c.access(9, false).first_prefetch_use);
-        assert_eq!(c.fill(8, false, false), Eviction::None);
-        let mut recency = Vec::new();
-        c.set_entries_by_recency(0, &mut recency);
-        assert_eq!(recency, vec![(4, DIRTY), (8, 0)]);
-    }
-
-    #[test]
     fn set_index_matches_modulo_for_all_geometries() {
         for sets in [1usize, 3, 5, 48, 64, 4096, 12288, 20480] {
             let c = Cache::new(sets, 1);
@@ -622,15 +582,6 @@ mod tests {
                 assert_eq!(c.geo.index(line), (line % d) as usize, "sets={sets} line={line}");
             }
         }
-    }
-
-    #[test]
-    fn translate_negative_wraps_sets() {
-        let mut c = Cache::new(4, 1);
-        c.fill(0, false, false);
-        c.translate(-1);
-        assert!(c.probe(u64::MAX)); // 0 - 1 wraps; set = MAX % 4 = 3
-        assert_eq!(c.occupancy(), 1);
     }
 
     /// A naive true-LRU reference: one `Vec` per set, most recent first,
@@ -715,19 +666,6 @@ mod tests {
         fn clear(&mut self) {
             for set in &mut self.sets {
                 set.clear();
-            }
-        }
-
-        /// Every address moves by `t`; each set's order is kept.
-        fn translate(&mut self, t: i64) {
-            let empty = vec![Vec::new(); self.sets.len()];
-            let old = std::mem::replace(&mut self.sets, empty);
-            for set in old {
-                for mut l in set {
-                    l.addr = l.addr.wrapping_add_signed(t);
-                    let s = self.set_of(l.addr);
-                    self.sets[s].push(l);
-                }
             }
         }
 
@@ -849,11 +787,6 @@ mod tests {
             self.model.clear();
         }
 
-        fn translate(&mut self, t: i64) {
-            self.real.translate(t);
-            self.model.translate(t);
-        }
-
         /// Whole-image comparison: contents, flags and recency order of
         /// every set.
         fn assert_same_image(&self) {
@@ -908,19 +841,13 @@ mod tests {
             let mut c = Lockstep::new(sets, ways);
             let window = 2 * (sets * ways) as u64;
             let alias = alias_stride(sets);
-            // Far from zero, so no translation wraps an address (the
-            // cycle skipper never does on a non-power-of-two set count).
             let base = 1u64 << 40;
-            let mut shift = 0i64;
             let ops = if sets > 1000 { 60_000 } else { 20_000 };
             for op in 0..ops {
-                let origin =
-                    if rng.gen_bool(0.5) { base } else { base.wrapping_add_signed(shift) };
                 let line = if rng.gen_bool(0.5) {
-                    origin + rng.gen_range(0..window)
+                    base + rng.gen_range(0..window)
                 } else {
-                    origin
-                        + rng.gen_range(0..4u64)
+                    base + rng.gen_range(0..4u64)
                         + alias * rng.gen_range(0..2 * ways as u64 + 2)
                 };
                 let (b1, b2) = (rng.gen_bool(0.3), rng.gen_bool(0.3));
@@ -934,11 +861,6 @@ mod tests {
                     78..=87 => c.absent_victim(line, rng.gen_bool(0.8)),
                     88..=93 => c.probe(line),
                     94..=97 => c.mark_dirty(line),
-                    98 => {
-                        let t = rng.gen_range(-3 * sets as i64..=3 * sets as i64);
-                        c.translate(t);
-                        shift += t;
-                    }
                     _ => {
                         if rng.gen_bool(0.1) {
                             c.clear();
@@ -972,29 +894,6 @@ mod tests {
         c.access_with_victim(1, true, None);
         c.access_with_victim(21, false, Some((false, false)));
         c.assert_same_image();
-    }
-
-    /// `translate` moves lines between sets but keeps each line's way, so
-    /// old guesses now name translated lines; both directions must stay
-    /// exact.
-    #[test]
-    fn stale_predictions_after_translate_are_rejected() {
-        for t in [5i64, -5, 64, -64, 4096, -4096, 1] {
-            let mut c = Lockstep::new(8, 4);
-            let base = 1u64 << 20;
-            for k in 0..24u64 {
-                c.fill(base + 3 * k, k % 3 == 0, k % 4 == 0);
-                c.access(base + 3 * k, false);
-            }
-            c.translate(t);
-            for k in 0..24u64 {
-                let line = base + 3 * k;
-                c.access_with_victim(line, false, Some((false, false)));
-                c.access_with_victim(line.wrapping_add_signed(t), true, Some((true, false)));
-                c.mark_dirty_with_victim(line.wrapping_add_signed(t + 1), true);
-            }
-            c.assert_same_image();
-        }
     }
 
     /// Two lines in one set that share a predictor slot: each evicts the

@@ -3,7 +3,7 @@
 use crate::cache::{AccessOutcome, Cache, Eviction};
 use crate::error::SimConfigError;
 use crate::stats::HierarchyStats;
-use crate::strategy::{unit_for, PrefetchSnap, Prefetcher};
+use crate::strategy::{unit_for, Prefetcher};
 use palo_arch::Architecture;
 
 /// Number of cache levels the fused lookup-victim path keeps on the
@@ -68,21 +68,22 @@ pub struct AccessRun {
     pub kind: AccessKind,
 }
 
-/// Replay-engine telemetry: how much of the traffic arrived batched and
-/// how much was skipped analytically. Deliberately *not* part of
-/// [`HierarchyStats`] — the differential contract is that compressed and
-/// scalar replay produce identical simulation statistics, while these
-/// counters describe the replay mechanism itself.
+/// Replay-engine telemetry: how much of the traffic arrived batched.
+/// Deliberately *not* part of [`HierarchyStats`] — the differential
+/// contract is that compressed and scalar replay produce identical
+/// simulation statistics, while these counters describe the replay
+/// mechanism itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Batched access events consumed (runs and ranges).
     pub runs: u64,
     /// Line accesses covered by those events.
     pub run_lines: u64,
-    /// Steady-state cycles skipped analytically.
+    /// Always 0: every line is replayed. Kept so the simulate artifact's
+    /// wire format and the serve protocol's `replay` array keep their
+    /// shape.
     pub cycles_skipped: u64,
-    /// Line accesses accounted by cycle skipping instead of being
-    /// replayed (included in `run_lines` and in the simulated totals).
+    /// Always 0, kept for wire compatibility like `cycles_skipped`.
     pub lines_skipped: u64,
 }
 
@@ -101,7 +102,7 @@ pub struct ServedBy {
 /// recovers. This prevents pathological streams (e.g. large-stride
 /// column walks whose prefetched lines are evicted before use) from
 /// flooding the memory bus.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct PrefetchThrottle {
     fills: u32,
     hits: u32,
@@ -155,37 +156,6 @@ impl PrefetchThrottle {
     }
 }
 
-/// Full hierarchy image at a steady-state cycle boundary, used by the
-/// trace walker's cycle skipper. Recency is captured as per-set *order*
-/// (not absolute stamps): stamps drift between otherwise-identical
-/// steady-state iterations, but every replacement decision depends only
-/// on relative order, so order-equality is the exact criterion.
-#[derive(Debug)]
-pub(crate) struct HierSnap {
-    levels: Vec<LevelSnap>,
-    /// One state image per prefetcher unit, level order.
-    prefs: Vec<PrefetchSnap>,
-    throttle: PrefetchThrottle,
-    stats: HierarchyStats,
-}
-
-#[derive(Debug)]
-struct LevelSnap {
-    /// `(addr, flags)` entries, oldest-first within each set.
-    entries: Vec<(u64, u64)>,
-    /// Per-set prefix offsets into `entries` (`set_count + 1` of them).
-    starts: Vec<u32>,
-}
-
-impl HierSnap {
-    /// Simulation statistics at snapshot time (test oracle for per-cycle
-    /// deltas; production code reads the field through `apply_cycles`).
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> &HierarchyStats {
-        &self.stats
-    }
-}
-
 /// A simulated cache hierarchy with hardware prefetchers.
 ///
 /// See the crate docs for the modeled behaviour. All demand traffic goes
@@ -203,9 +173,6 @@ pub struct Hierarchy {
     throttle: PrefetchThrottle,
     stats: HierarchyStats,
     replay: ReplayStats,
-    /// Statistics image at the previous [`Hierarchy::stats_probe`] call;
-    /// probes fingerprint the delta since then.
-    probe_last: HierarchyStats,
     /// Reusable scratch for stride-prefetch lines (avoids one allocation
     /// per observed miss on the hot path).
     pf_buf: Vec<u64>,
@@ -317,7 +284,6 @@ impl Hierarchy {
             throttle: PrefetchThrottle::default(),
             stats: HierarchyStats::new(n),
             replay: ReplayStats::default(),
-            probe_last: HierarchyStats::new(n),
             pf_buf: Vec::new(),
         })
     }
@@ -327,7 +293,7 @@ impl Hierarchy {
         &self.stats
     }
 
-    /// Replay-engine telemetry (run batching and cycle skipping).
+    /// Replay-engine telemetry (run batching).
     pub fn replay_stats(&self) -> ReplayStats {
         self.replay
     }
@@ -341,7 +307,6 @@ impl Hierarchy {
     pub fn reset_stats(&mut self) {
         self.stats = HierarchyStats::new(self.caches.len());
         self.replay = ReplayStats::default();
-        self.probe_last = HierarchyStats::new(self.caches.len());
     }
 
     /// Empties every cache and prefetcher unit.
@@ -831,133 +796,6 @@ impl Hierarchy {
             }
         }
     }
-
-    /// Fingerprints the statistics delta since the previous probe, mixed
-    /// with the throttle's internal counters — the per-iteration
-    /// signature the trace walker's cycle detector keys on. The mix-in
-    /// matters: a steady stream issues *constant* stats deltas every
-    /// iteration, but the throttle's fills/hits counters follow their
-    /// halving sawtooth with a much longer period, and state equality
-    /// (hence a true cycle) only holds at that period. Hashing the
-    /// throttle state makes the sawtooth visible to the period guesser,
-    /// so it proposes the right period instead of burning verification
-    /// attempts on period 1.
-    pub(crate) fn stats_probe(&mut self) -> u64 {
-        const M: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut h: u64 = 0;
-        {
-            let mut mix = |cur: u64, prev: u64| {
-                h = (h ^ cur.wrapping_sub(prev)).wrapping_mul(M).rotate_left(29);
-            };
-            mix(u64::from(self.throttle.fills), 0);
-            mix(u64::from(self.throttle.hits), 0);
-            mix(u64::from(self.throttle.duty), 0);
-            mix(u64::from(self.throttle.throttled), 0);
-            for u in &self.units {
-                mix(u.creations(), 0);
-            }
-            for (l, p) in self.stats.levels.iter().zip(&self.probe_last.levels) {
-                mix(l.demand_hits, p.demand_hits);
-                mix(l.demand_misses, p.demand_misses);
-                mix(l.prefetch_hits, p.prefetch_hits);
-                mix(l.prefetch_fills, p.prefetch_fills);
-                mix(l.dirty_evictions, p.dirty_evictions);
-            }
-            mix(self.stats.mem_demand_fills, self.probe_last.mem_demand_fills);
-            mix(self.stats.mem_prefetch_fills, self.probe_last.mem_prefetch_fills);
-            mix(self.stats.mem_writebacks, self.probe_last.mem_writebacks);
-            mix(self.stats.nt_store_lines, self.probe_last.nt_store_lines);
-            mix(self.stats.total_accesses, self.probe_last.total_accesses);
-        }
-        self.probe_last.clone_from(&self.stats);
-        h
-    }
-
-    /// Captures the full hierarchy image (cache contents with per-set
-    /// recency order, stream table, throttle, statistics) for the
-    /// steady-state cycle skipper.
-    pub(crate) fn cycle_snapshot_impl(&self) -> HierSnap {
-        let mut levels = Vec::with_capacity(self.caches.len());
-        for c in &self.caches {
-            let nsets = c.set_count();
-            let mut entries = Vec::new();
-            let mut starts = Vec::with_capacity(nsets + 1);
-            starts.push(0u32);
-            for s in 0..nsets {
-                c.set_entries_by_recency(s, &mut entries);
-                starts.push(entries.len() as u32);
-            }
-            levels.push(LevelSnap { entries, starts });
-        }
-        HierSnap {
-            levels,
-            prefs: self.units.iter().map(|u| u.snapshot()).collect(),
-            throttle: self.throttle.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Whether the current hierarchy state equals `snap` translated by
-    /// `t` line addresses. Recency is compared as per-set order;
-    /// absolute stamps/clocks are excluded because every replacement and
-    /// stream-eviction decision depends only on relative order, which
-    /// identical event sequences preserve. Stream-table *allocations*
-    /// during the candidate cycle are rejected outright
-    /// (`creations` compare): allocation is the one event that reads
-    /// absolute stamps and permutes table indices.
-    pub(crate) fn cycle_matches_impl(&self, snap: &HierSnap, t: i64) -> bool {
-        for (u, s) in self.units.iter().zip(&snap.prefs) {
-            if !u.matches_translated(s, t) {
-                return false;
-            }
-        }
-        if self.throttle != snap.throttle {
-            return false;
-        }
-        let mut scratch: Vec<(u64, u64)> = Vec::new();
-        for (c, ls) in self.caches.iter().zip(&snap.levels) {
-            let nsets = c.set_count();
-            let shift = t.rem_euclid(nsets as i64) as usize;
-            for cur_set in 0..nsets {
-                let old_set = (cur_set + nsets - shift) % nsets;
-                scratch.clear();
-                c.set_entries_by_recency(cur_set, &mut scratch);
-                let lo = ls.starts[old_set] as usize;
-                let hi = ls.starts[old_set + 1] as usize;
-                let want = &ls.entries[lo..hi];
-                if scratch.len() != want.len() {
-                    return false;
-                }
-                for (have, want) in scratch.iter().zip(want) {
-                    if have.1 != want.1 || have.0 != want.0.wrapping_add_signed(t) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Fast-forwards `cycles` steady-state cycles: statistics advance by
-    /// `cycles` times the per-cycle delta (current minus `snap`), and the
-    /// whole state image translates by `t * cycles` line addresses.
-    /// Exact given a prior [`Hierarchy::cycle_matches_impl`] success: the
-    /// per-line transition is translation-invariant, so each skipped
-    /// cycle would have produced the same delta and shift.
-    pub(crate) fn apply_cycles_impl(&mut self, snap: &HierSnap, t: i64, cycles: u64) {
-        let lines_delta = self.stats.total_accesses - snap.stats.total_accesses;
-        self.stats.add_scaled_delta(&snap.stats, cycles);
-        let shift = t.saturating_mul(cycles as i64);
-        for c in &mut self.caches {
-            c.translate(shift);
-        }
-        for u in &mut self.units {
-            u.translate(shift);
-        }
-        self.replay.cycles_skipped += cycles;
-        self.replay.lines_skipped += lines_delta * cycles;
-        self.replay.run_lines += lines_delta * cycles;
-    }
 }
 
 #[cfg(test)]
@@ -1243,62 +1081,5 @@ mod tests {
         assert_eq!(h.replay_stats().runs, 1);
         assert_eq!(h.replay_stats().run_lines, 64);
         assert_eq!(h.stats().total_accesses, 64);
-    }
-
-    /// A tiny hierarchy without prefetchers: the throttle and stream
-    /// table stay in their default states, so a streaming pattern reaches
-    /// an exactly periodic steady state after a short warm-up.
-    fn tiny_no_prefetch() -> Hierarchy {
-        let mut arch = presets::intel_i7_6700();
-        arch.caches.truncate(2);
-        arch.caches[0].size_bytes = 4 * 1024; // 8 sets x 8 ways
-        arch.caches[0].prefetcher = PrefetcherConfig::None;
-        arch.caches[1].size_bytes = 16 * 1024; // 32 sets x 8 ways
-        arch.caches[1].prefetcher = PrefetcherConfig::None;
-        Hierarchy::from_architecture(&arch)
-    }
-
-    #[test]
-    fn cycle_snapshot_round_trip_detects_translation() {
-        let mut h = tiny_no_prefetch();
-        // One "iteration" = a 32-line streaming row; consecutive rows are
-        // translated by 32 lines.
-        let row = |h: &mut Hierarchy, r: u64| {
-            h.access_run(&AccessRun {
-                start_line: r * 32,
-                stride_lines: 1,
-                count: 32,
-                kind: AccessKind::Store,
-            });
-        };
-        // Warm until both levels churn in steady state (256 lines of
-        // capacity total << 40 rows).
-        for r in 0..40u64 {
-            row(&mut h, r);
-        }
-        let snap = h.cycle_snapshot_impl();
-        row(&mut h, 40);
-        // One more identical row shifted by 32 lines: states match under
-        // translation and under nothing else.
-        assert!(h.cycle_matches_impl(&snap, 32));
-        assert!(!h.cycle_matches_impl(&snap, 0));
-        let before = h.stats().clone();
-        let snap_stats = snap.stats().clone();
-        let mut skipped = h.clone();
-        skipped.apply_cycles_impl(&snap, 32, 3);
-        // Walking three more rows produces the same stats as skipping 3.
-        for r in 41..44u64 {
-            row(&mut h, r);
-        }
-        assert_eq!(h.stats(), skipped.stats());
-        assert_eq!(
-            skipped.stats().total_accesses - before.total_accesses,
-            3 * (before.total_accesses - snap_stats.total_accesses)
-        );
-        assert_eq!(skipped.replay_stats().cycles_skipped, 3);
-        // And the skipped-to state continues identically.
-        row(&mut h, 44);
-        row(&mut skipped, 44);
-        assert_eq!(h.stats(), skipped.stats());
     }
 }

@@ -52,8 +52,6 @@ pub use cache::{Cache, Eviction};
 pub use error::SimConfigError;
 pub use hierarchy::{AccessKind, AccessRun, Hierarchy, ReplayStats, ServedBy};
 pub use prefetch::{Stream, StridePrefetcher};
-pub use sink::{CountingSink, CycleSnapshot, LineSink};
+pub use sink::LineSink;
 pub use stats::{HierarchyStats, LevelStats};
-pub use strategy::{
-    AdjacentPairPrefetcher, InertPrefetcher, NextLinePrefetcher, PrefetchSnap, Prefetcher,
-};
+pub use strategy::{AdjacentPairPrefetcher, InertPrefetcher, NextLinePrefetcher, Prefetcher};

@@ -172,11 +172,6 @@ pub struct StridePrefetcher {
     min_confidence: u8,
     /// When set, only unit-stride (±1 line) streams ever issue.
     unit_only: bool,
-    /// Streams allocated since construction/reset. The run engine's
-    /// steady-state detector requires a creation-free cycle: allocation
-    /// is the only event that reads absolute stamps (LRU victim choice)
-    /// and permutes table indices (`swap_remove`).
-    creations: u64,
 }
 
 impl StridePrefetcher {
@@ -192,7 +187,6 @@ impl StridePrefetcher {
             clock: 0,
             min_confidence: 2,
             unit_only: false,
-            creations: 0,
         }
     }
 
@@ -318,7 +312,6 @@ impl StridePrefetcher {
                         self.index.renumber(self.streams.len(), oldest);
                     }
                 }
-                self.creations += 1;
                 let s = Stream {
                     last: line,
                     stride: 0,
@@ -474,11 +467,6 @@ impl StridePrefetcher {
         s.stamp = self.clock;
     }
 
-    /// Streams allocated so far (see the `creations` field).
-    pub(crate) fn creations(&self) -> u64 {
-        self.creations
-    }
-
     /// Whether the table is inert (degree zero): observes then only
     /// advance the clock.
     pub(crate) fn disabled(&self) -> bool {
@@ -502,7 +490,6 @@ impl StridePrefetcher {
         self.index.unfile_all(self.streams.len());
         self.streams.clear();
         self.stale = 0;
-        self.creations = 0;
     }
 }
 
@@ -547,10 +534,6 @@ impl crate::strategy::Prefetcher for StridePrefetcher {
         StridePrefetcher::feed_silent(self, i, first, n);
     }
 
-    fn creations(&self) -> u64 {
-        StridePrefetcher::creations(self)
-    }
-
     fn disabled(&self) -> bool {
         StridePrefetcher::disabled(self)
     }
@@ -561,38 +544,6 @@ impl crate::strategy::Prefetcher for StridePrefetcher {
 
     fn reset(&mut self) {
         StridePrefetcher::reset(self);
-    }
-
-    fn snapshot(&self) -> crate::strategy::PrefetchSnap {
-        crate::strategy::PrefetchSnap(crate::strategy::SnapRepr::Streams {
-            streams: self.streams.clone(),
-            creations: self.creations,
-        })
-    }
-
-    fn matches_translated(&self, snap: &crate::strategy::PrefetchSnap, t: i64) -> bool {
-        let crate::strategy::SnapRepr::Streams { streams, creations } = &snap.0 else {
-            return false;
-        };
-        if self.creations != *creations || self.streams.len() != streams.len() {
-            return false;
-        }
-        self.streams.iter().zip(streams).all(|(c, s)| {
-            c.stride == s.stride
-                && c.confidence == s.confidence
-                && c.last == s.last.wrapping_add_signed(t)
-                && c.frontier == s.frontier.wrapping_add_signed(t)
-        })
-    }
-
-    fn translate(&mut self, shift: i64) {
-        self.index.unfile_all(self.streams.len());
-        self.stale = 0;
-        for (i, s) in self.streams.iter_mut().enumerate() {
-            s.last = s.last.wrapping_add_signed(shift);
-            s.frontier = s.frontier.wrapping_add_signed(shift);
-            self.index.file(i, s);
-        }
     }
 }
 
@@ -691,7 +642,7 @@ mod tests {
         }
         // The first stream was evicted; re-observing shouldn't match it.
         assert!(p.observe(1).is_empty());
-        assert_eq!(p.creations(), 41);
+        assert_eq!(p.streams().len(), 32);
     }
 
     #[test]

@@ -58,28 +58,6 @@ impl HierarchyStats {
         HierarchyStats { levels: vec![LevelStats::default(); levels], ..Default::default() }
     }
 
-    /// Advances every counter by `cycles` times its delta over `base`
-    /// (`self += (self - base) * cycles`). Used by the steady-state cycle
-    /// skipper: `base` is the snapshot at the start of the verified
-    /// cycle, so the delta is one cycle's worth of events.
-    pub(crate) fn add_scaled_delta(&mut self, base: &HierarchyStats, cycles: u64) {
-        fn bump(cur: &mut u64, base: u64, cycles: u64) {
-            *cur += (*cur - base) * cycles;
-        }
-        for (l, b) in self.levels.iter_mut().zip(&base.levels) {
-            bump(&mut l.demand_hits, b.demand_hits, cycles);
-            bump(&mut l.demand_misses, b.demand_misses, cycles);
-            bump(&mut l.prefetch_hits, b.prefetch_hits, cycles);
-            bump(&mut l.prefetch_fills, b.prefetch_fills, cycles);
-            bump(&mut l.dirty_evictions, b.dirty_evictions, cycles);
-        }
-        bump(&mut self.mem_demand_fills, base.mem_demand_fills, cycles);
-        bump(&mut self.mem_prefetch_fills, base.mem_prefetch_fills, cycles);
-        bump(&mut self.mem_writebacks, base.mem_writebacks, cycles);
-        bump(&mut self.nt_store_lines, base.nt_store_lines, cycles);
-        bump(&mut self.total_accesses, base.total_accesses, cycles);
-    }
-
     /// Raw cache-hit cycles: every demand hit charged its level's full
     /// latency (`latencies[k]` for level `k`). Out-of-order cores hide
     /// most of this; scale by [`TimingModel::hit_exposed_fraction`] for a

@@ -1,7 +1,7 @@
 //! The pluggable prefetcher strategy layer.
 //!
 //! [`Hierarchy`](crate::Hierarchy) holds one boxed [`Prefetcher`] per
-//! cache level and drives every implementation through the same three
+//! cache level and drives every implementation through the same two
 //! contracts (DESIGN.md §16):
 //!
 //! 1. **Observe** — on each demand L1 miss, every unit sees the missed
@@ -22,40 +22,17 @@
 //!    replaces; the defaults opt out (`expects` false, `preempts` true),
 //!    which degrades to one full observe per miss and is therefore always
 //!    correct.
-//! 3. **Translation** — the cycle skipper extrapolates a verified
-//!    steady-state iteration only if every unit's state matches its
-//!    snapshot under a `t`-line translation
-//!    ([`Prefetcher::matches_translated`]). The conservative default
-//!    returns `false`: a strategy that cannot prove its transitions
-//!    commute with translation simply never has cycles skipped, which is
-//!    slower but exact.
 
-use crate::prefetch::{Stream, StridePrefetcher};
+use crate::prefetch::StridePrefetcher;
 use palo_arch::PrefetcherConfig;
-
-/// Opaque state image of one prefetcher unit at a steady-state cycle
-/// boundary, produced by [`Prefetcher::snapshot`] and consumed by
-/// [`Prefetcher::matches_translated`].
-#[derive(Debug, Clone)]
-pub struct PrefetchSnap(pub(crate) SnapRepr);
-
-#[derive(Debug, Clone)]
-pub(crate) enum SnapRepr {
-    /// No translation-sensitive state.
-    Inert,
-    /// A last-observed-line tracker (`u64::MAX` = nothing seen yet).
-    LastLine(u64),
-    /// A stream table plus its allocation counter.
-    Streams { streams: Vec<Stream>, creations: u64 },
-}
 
 /// One hardware prefetching unit attached to a cache level.
 ///
 /// Only [`Prefetcher::observe_into`], [`Prefetcher::reset`] and
 /// [`Prefetcher::box_clone`] are mandatory; the defaults for the
-/// steady-state and translation hooks are conservative (no stream lock,
-/// no cycle skipping) and keep run-compressed replay bit-identical to
-/// scalar replay for any implementation.
+/// steady-state hooks are conservative (no stream lock) and keep
+/// run-compressed replay bit-identical to scalar replay for any
+/// implementation.
 pub trait Prefetcher: std::fmt::Debug + Send + Sync {
     /// Clones the unit behind the trait object ([`Hierarchy`]s are
     /// cloneable).
@@ -142,13 +119,6 @@ pub trait Prefetcher: std::fmt::Debug + Send + Sync {
         }
     }
 
-    /// Streams allocated since construction/reset. The cycle skipper
-    /// rejects candidate cycles that allocated (allocation reads absolute
-    /// stamps and permutes table indices); stateless units report 0.
-    fn creations(&self) -> u64 {
-        0
-    }
-
     /// Whether the unit is configured to do nothing (observes then only
     /// advance its clock, if any).
     fn disabled(&self) -> bool {
@@ -161,26 +131,6 @@ pub trait Prefetcher: std::fmt::Debug + Send + Sync {
 
     /// Drops all learned state (stream tables, last-line trackers).
     fn reset(&mut self);
-
-    /// Captures the unit's translation-sensitive state for the cycle
-    /// skipper.
-    fn snapshot(&self) -> PrefetchSnap {
-        PrefetchSnap(SnapRepr::Inert)
-    }
-
-    /// Whether the unit's current state equals `snap` translated by `t`
-    /// line addresses. The conservative default (`false`) disables cycle
-    /// skipping whenever this unit is present — exact, just slower — for
-    /// strategies that cannot prove their transitions commute with
-    /// translation.
-    fn matches_translated(&self, _snap: &PrefetchSnap, _t: i64) -> bool {
-        false
-    }
-
-    /// Translates the unit's state by `shift` line addresses (the cycle
-    /// skipper's fast-forward; paired with a prior
-    /// [`Prefetcher::matches_translated`] success).
-    fn translate(&mut self, _shift: i64) {}
 }
 
 impl Clone for Box<dyn Prefetcher> {
@@ -190,7 +140,6 @@ impl Clone for Box<dyn Prefetcher> {
 }
 
 /// A unit that never prefetches (the `PrefetcherConfig::None` strategy).
-/// Its state is empty, so cycle matching always succeeds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InertPrefetcher;
 
@@ -208,10 +157,6 @@ impl Prefetcher for InertPrefetcher {
     }
 
     fn reset(&mut self) {}
-
-    fn matches_translated(&self, snap: &PrefetchSnap, _t: i64) -> bool {
-        matches!(snap.0, SnapRepr::Inert)
-    }
 }
 
 /// The L1 next-line (DCU) streamer: on an ascending sequential miss to
@@ -252,28 +197,6 @@ impl Prefetcher for NextLinePrefetcher {
     fn reset(&mut self) {
         self.last_miss = u64::MAX;
     }
-
-    fn snapshot(&self) -> PrefetchSnap {
-        PrefetchSnap(SnapRepr::LastLine(self.last_miss))
-    }
-
-    fn matches_translated(&self, snap: &PrefetchSnap, t: i64) -> bool {
-        match snap.0 {
-            SnapRepr::LastLine(last) => {
-                // The "no miss yet" sentinel does not translate.
-                let want =
-                    if last == u64::MAX { u64::MAX } else { last.wrapping_add_signed(t) };
-                self.last_miss == want
-            }
-            _ => false,
-        }
-    }
-
-    fn translate(&mut self, shift: i64) {
-        if self.last_miss != u64::MAX {
-            self.last_miss = self.last_miss.wrapping_add_signed(shift);
-        }
-    }
 }
 
 /// Adjacent-pair (buddy-line) unit: on every observed miss to line `l`,
@@ -292,14 +215,6 @@ impl Prefetcher for AdjacentPairPrefetcher {
     }
 
     fn reset(&mut self) {}
-
-    fn matches_translated(&self, snap: &PrefetchSnap, t: i64) -> bool {
-        // Stateless, but the buddy map `l ^ 1` only commutes with
-        // translation by *even* t: for odd t the sector parity flips and
-        // extrapolated fills would diverge from real replay. Restricting
-        // cycle skipping to even translations keeps it exact.
-        matches!(snap.0, SnapRepr::Inert) && t % 2 == 0
-    }
 }
 
 /// Builds the simulator unit for `cfg` at cache level `level` (0 = L1).
@@ -350,41 +265,21 @@ mod tests {
     }
 
     #[test]
-    fn next_line_snapshot_translates() {
-        let mut p = NextLinePrefetcher::new();
-        let fresh = p.snapshot();
-        assert!(p.matches_translated(&fresh, 7), "MAX sentinel matches any t");
-        let mut out = Vec::new();
-        p.observe_into(100, &mut out);
-        let snap = p.snapshot();
-        p.observe_into(110, &mut out);
-        assert!(p.matches_translated(&snap, 10));
-        assert!(!p.matches_translated(&snap, 9));
-        p.translate(-10);
-        assert!(p.matches_translated(&snap, 0));
-    }
-
-    #[test]
     fn adjacent_pair_fetches_buddy() {
         let mut p = AdjacentPairPrefetcher;
         let mut out = Vec::new();
         p.observe_into(100, &mut out);
         p.observe_into(101, &mut out);
         assert_eq!(out, vec![101, 100]);
-        let snap = p.snapshot();
-        assert!(p.matches_translated(&snap, 2));
-        assert!(!p.matches_translated(&snap, 3), "odd translation flips parity");
     }
 
     #[test]
-    fn inert_unit_does_nothing_and_always_matches() {
+    fn inert_unit_does_nothing() {
         let mut p = InertPrefetcher;
         let mut out = Vec::new();
         assert_eq!(p.observe_into(42, &mut out), None);
         assert!(out.is_empty());
         assert!(p.disabled());
-        let snap = p.snapshot();
-        assert!(p.matches_translated(&snap, 12345));
     }
 
     #[test]
@@ -401,8 +296,7 @@ mod tests {
     #[test]
     fn conservative_defaults_opt_out_of_the_lock() {
         // A minimal custom strategy: only the mandatory methods. The
-        // defaults must keep it out of the run engine's stream lock and
-        // the cycle skipper.
+        // defaults must keep it out of the run engine's stream lock.
         #[derive(Debug, Clone)]
         struct Custom;
         impl Prefetcher for Custom {
@@ -420,8 +314,6 @@ mod tests {
         assert!(c.preempts(0, 1), "default preemption forces the full observe");
         assert!(!c.silent(0));
         assert!(c.ramp_state(0).is_none());
-        let snap = c.snapshot();
-        assert!(!c.matches_translated(&snap, 0), "default is no cycle skipping");
         let mut out = Vec::new();
         c.observe_expected(0, 7, &mut out);
         assert_eq!(out, vec![10], "default expected feed is the full observe");

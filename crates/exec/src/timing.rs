@@ -24,9 +24,9 @@ pub struct TimeEstimate {
     pub speedup: f64,
     /// Raw simulator statistics of the trace.
     pub stats: HierarchyStats,
-    /// Replay-engine telemetry: how the trace was consumed (batched runs,
-    /// lines, skipped steady-state cycles). Diagnostic only — does not
-    /// affect the estimate.
+    /// Replay-engine telemetry: how the trace was consumed (batched runs
+    /// and the lines they covered). Diagnostic only — does not affect the
+    /// estimate.
     pub replay: ReplayStats,
 }
 

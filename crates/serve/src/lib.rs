@@ -29,9 +29,9 @@
 //!   exactly one response per submission either way.
 //!
 //! The wire protocol ([`protocol`]) is newline-delimited JSON over
-//! stdin/stdout or a Unix socket, parsed by a small strict hand-rolled
-//! reader ([`json`]) because the workspace's `serde` is an offline
-//! no-op stand-in. See DESIGN.md §14 for the full design rationale.
+//! stdin/stdout or a Unix socket, parsed by the small strict hand-rolled
+//! reader in [`palo_codec::json`] because the workspace's `serde` is an
+//! offline no-op stand-in. See DESIGN.md §14 for the full design rationale.
 //!
 //! # Examples
 //!
@@ -53,14 +53,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod shed;
 pub mod signal;
 
-pub use json::{Json, JsonError};
 pub use protocol::{
     BadRequest, ErrorKind, NestResult, OkResponse, Request, Response, ResponseBody,
 };

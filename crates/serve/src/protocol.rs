@@ -23,8 +23,8 @@
 //! `palo-serve`'s shutdown line), not in its response. A rejection is
 //! typed ([`ErrorKind`]), never a dropped line.
 
-use crate::json::{push_json_f64, push_json_str, Json};
 use crate::shed::{Fidelity, ShedLevel};
+use palo_codec::json::{push_json_f64, push_json_str, Json};
 use palo_core::{CacheStats, FaultPlan, Priority, RunOverrides};
 use std::time::Duration;
 
@@ -280,7 +280,9 @@ pub struct NestResult {
     /// Per-pass wall-clock totals of this run.
     pub passes: Vec<PassTotal>,
     /// Replay-engine telemetry of the simulation, when it ran:
-    /// `[runs, run_lines, cycles_skipped, lines_skipped]`.
+    /// `[runs, run_lines, cycles_skipped, lines_skipped]`. The last two
+    /// are always 0 (every line is replayed); they keep the array's
+    /// shape for existing clients.
     pub replay: Option<[u64; 4]>,
     /// Failures recorded while descending the ladder (rendered).
     pub failures: Vec<String>,

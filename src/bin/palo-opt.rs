@@ -35,7 +35,7 @@
 //!
 //! `--profile` (implies `--estimate`) prints, per nest, the per-pass
 //! wall-clock breakdown of the run plus the replay engine's run/line
-//! compression and cycle-skip telemetry.
+//! compression telemetry.
 //!
 //! `--batch` routes the whole suite (or one kernel) through the
 //! [`palo::serve`] serving core: one warm [`Session`] (shared
@@ -194,18 +194,6 @@ fn apply_ablations(config: &mut OptimizerConfig, ablate: &[String]) -> Result<()
     Ok(())
 }
 
-fn platform(name: &str) -> Option<Architecture> {
-    match name {
-        "5930k" | "5930K" => Some(presets::repro::intel_i7_5930k()),
-        "6700" => Some(presets::repro::intel_i7_6700()),
-        "a15" | "A15" | "arm" => Some(presets::repro::arm_cortex_a15()),
-        "zen2" | "amd" => Some(presets::repro::amd_zen2()),
-        "n1" | "neoverse" => Some(presets::repro::arm_neoverse_n1()),
-        "nopf" | "no-prefetch" => Some(presets::repro::intel_i7_6700_no_prefetch()),
-        _ => None,
-    }
-}
-
 /// Applies `--prefetcher` overrides (`l1=SPEC,l2=SPEC,...`) to the
 /// chosen platform. Specs use the [`palo::arch::PrefetcherConfig`]
 /// grammar; levels are named `l1`, `l2`, `l3` outermost-first.
@@ -253,9 +241,8 @@ fn print_profile(report: &PipelineReport) {
         let r = &est.replay;
         let lines_per_run = if r.runs > 0 { r.run_lines as f64 / r.runs as f64 } else { 0.0 };
         println!(
-            "//   replay: {} lines in {} batched events ({lines_per_run:.1} lines/event), \
-             {} steady-state cycles skipped ({} lines)",
-            r.run_lines, r.runs, r.cycles_skipped, r.lines_skipped
+            "//   replay: {} lines in {} batched events ({lines_per_run:.1} lines/event)",
+            r.run_lines, r.runs
         );
     }
 }
@@ -293,12 +280,10 @@ fn print_profile_nest(n: &NestResult) {
             p.pass, p.ms, p.requests, p.cached
         );
     }
-    if let Some([runs, run_lines, cycles_skipped, lines_skipped]) = n.replay {
+    if let Some([runs, run_lines, ..]) = n.replay {
         let lines_per_run = if runs > 0 { run_lines as f64 / runs as f64 } else { 0.0 };
         println!(
-            "//   replay: {run_lines} lines in {runs} batched events \
-             ({lines_per_run:.1} lines/event), {cycles_skipped} steady-state cycles \
-             skipped ({lines_skipped} lines)"
+            "//   replay: {run_lines} lines in {runs} batched events ({lines_per_run:.1} lines/event)"
         );
     }
 }
@@ -448,7 +433,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
-    let Some(mut arch) = platform(&args.platform) else {
+    let Some(mut arch) = presets::repro::by_name(&args.platform) else {
         eprintln!("unknown platform {:?}", args.platform);
         return usage();
     };

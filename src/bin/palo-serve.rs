@@ -25,7 +25,7 @@
 //! rejection, and the lifetime counters go to stderr. Exactly one
 //! response per request, always.
 
-use palo::arch::{presets, Architecture};
+use palo::arch::presets;
 use palo::core::{CacheConfig, CacheStats, PipelineConfig, PolicyKind};
 use palo::serve::{signal, Responder, Response, ServeConfig, Server, ShedPolicy};
 use std::io::{BufRead, BufReader, Write};
@@ -118,18 +118,6 @@ fn parse() -> Result<Args, ExitCode> {
         }
     }
     Ok(args)
-}
-
-fn platform(name: &str) -> Option<Architecture> {
-    match name {
-        "5930k" | "5930K" => Some(presets::repro::intel_i7_5930k()),
-        "6700" => Some(presets::repro::intel_i7_6700()),
-        "a15" | "A15" | "arm" => Some(presets::repro::arm_cortex_a15()),
-        "zen2" | "amd" => Some(presets::repro::amd_zen2()),
-        "n1" | "neoverse" => Some(presets::repro::arm_neoverse_n1()),
-        "nopf" | "no-prefetch" => Some(presets::repro::intel_i7_6700_no_prefetch()),
-        _ => None,
-    }
 }
 
 /// The session's cache totals. Printed after the drain, so they include
@@ -361,7 +349,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
-    let Some(arch) = platform(&args.platform) else {
+    let Some(arch) = presets::repro::by_name(&args.platform) else {
         eprintln!("unknown platform {:?}", args.platform);
         return usage();
     };

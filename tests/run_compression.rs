@@ -1,9 +1,8 @@
 //! Differential gate for the run-compressed replay engine.
 //!
-//! The cache hierarchy's batched [`AccessRun`] path and the trace
-//! walker's steady-state cycle skipping are *performance* features: by
-//! contract they must be bit-identical to the scalar per-line reference
-//! path on every statistic the simulator reports. These tests drive both
+//! The cache hierarchy's batched [`AccessRun`] path is a *performance*
+//! feature: by contract it must be bit-identical to the scalar per-line
+//! reference path on every statistic the simulator reports. These tests drive both
 //! engines over the full evaluation suite (every benchmark nest, both the
 //! program-order schedule and the optimizer's proposed schedule) and over
 //! proptest-sampled random affine nests, on all six platform presets
@@ -18,7 +17,7 @@
 
 use palo::arch::{presets, Architecture, PrefetcherConfig};
 use palo::core::Optimizer;
-use palo::exec::{estimate_time_with, TraceOptions};
+use palo::exec::{estimate_time_with, TimeEstimate, TraceOptions};
 use palo::ir::{DType, LoopNest, NestBuilder};
 use palo::sched::Schedule;
 use palo::suite::Benchmark;
@@ -63,11 +62,16 @@ fn strategy_zoo() -> Vec<(&'static str, Architecture)> {
         .collect()
 }
 
-/// Traces `schedule` over `nest` through both engines and demands
-/// bit-identical simulator statistics. Schedules that do not lower are
-/// skipped (the proptest sampler produces some illegal ones).
-fn assert_engines_agree(nest: &LoopNest, schedule: &Schedule, arch: &Architecture) {
-    let Ok(lowered) = schedule.lower(nest) else { return };
+/// Traces `schedule` over `nest` through both engines, demands
+/// bit-identical simulator statistics and returns both estimates
+/// (compressed, scalar). Schedules that do not lower are skipped with
+/// `None` (the proptest sampler produces some illegal ones).
+fn assert_engines_agree(
+    nest: &LoopNest,
+    schedule: &Schedule,
+    arch: &Architecture,
+) -> Option<(TimeEstimate, TimeEstimate)> {
+    let lowered = schedule.lower(nest).ok()?;
     let compressed = TraceOptions { run_compressed: true, ..TraceOptions::default() };
     let scalar = TraceOptions { run_compressed: false, ..TraceOptions::default() };
     let fast = estimate_time_with(nest, &lowered, arch, &compressed).unwrap_or_else(|e| {
@@ -84,10 +88,13 @@ fn assert_engines_agree(nest: &LoopNest, schedule: &Schedule, arch: &Architectur
         arch.name
     );
     assert_eq!(fast.ms.to_bits(), slow.ms.to_bits(), "{} on {}", nest.name(), arch.name);
+    Some((fast, slow))
 }
 
 /// Every suite nest × every platform, program-order and optimized: the
-/// two replay engines must agree counter-for-counter.
+/// two replay engines must agree counter-for-counter, and both replay
+/// every line (the replay counters cover the whole trace; the skip
+/// counters kept for wire compatibility stay 0).
 #[test]
 fn suite_nests_compressed_equals_scalar_on_all_platforms() {
     let mut checked = 0usize;
@@ -95,11 +102,19 @@ fn suite_nests_compressed_equals_scalar_on_all_platforms() {
         for b in Benchmark::all() {
             let nests = b.build(16).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
             for nest in &nests {
-                assert_engines_agree(nest, &Schedule::new(), arch);
                 let decision = Optimizer::new(arch)
                     .try_optimize(nest)
                     .unwrap_or_else(|e| panic!("{}: {e}", nest.name()));
-                assert_engines_agree(nest, decision.schedule(), arch);
+                for schedule in [&Schedule::new(), decision.schedule()] {
+                    let what = format!("{} on {}: {schedule:?}", nest.name(), arch.name);
+                    let (fast, slow) = assert_engines_agree(nest, schedule, arch)
+                        .unwrap_or_else(|| panic!("{what}: does not lower"));
+                    for est in [&fast, &slow] {
+                        let r = est.replay;
+                        assert_eq!(r.run_lines, est.stats.total_accesses, "{what}");
+                        assert_eq!((r.cycles_skipped, r.lines_skipped), (0, 0), "{what}");
+                    }
+                }
                 checked += 1;
             }
         }
@@ -112,7 +127,7 @@ fn suite_nests_compressed_equals_scalar_on_all_platforms() {
 /// Every `PrefetcherConfig` variant at both L1 and L2: the run-compressed
 /// engine must stay bit-identical to the scalar reference for every
 /// [`palo::cachesim::Prefetcher`] implementation, including the
-/// conservative no-skip fallbacks.
+/// conservative no-lock fallbacks.
 #[test]
 fn every_prefetcher_strategy_compressed_equals_scalar() {
     for (name, arch) in &strategy_zoo() {
@@ -194,7 +209,8 @@ proptest! {
     }
 
     /// Strided streaming copies (row-major walk of a column-major array
-    /// and vice versa) — the patterns the cycle skipper locks onto.
+    /// and vice versa) — the patterns the run engine's stream lock
+    /// follows.
     #[test]
     fn random_strided_copies_compressed_equals_scalar(
         n in 8usize..64,

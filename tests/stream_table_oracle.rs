@@ -10,9 +10,9 @@
 //! adversarial sequences — more live streams than the table holds, ties
 //! in window distance, several streams predicting one line, strides
 //! beyond the window, negative strides, lines on zone boundaries and
-//! across the top of the address space, `reset` and `translate`, and the
-//! engine's O(1) and bulk silent feeds — demanding after every step the
-//! same matched index, the same emitted lines and the same table.
+//! across the top of the address space, `reset`, and the engine's O(1)
+//! and bulk silent feeds — demanding after every step the same matched
+//! index, the same emitted lines and the same table.
 //!
 //! `oracle_long_sweep` is the long seed sweep (run with `--ignored`).
 
@@ -132,13 +132,6 @@ impl LinearTable {
 
     fn reset(&mut self) {
         self.streams.clear();
-    }
-
-    fn translate(&mut self, shift: i64) {
-        for s in &mut self.streams {
-            s.last = s.last.wrapping_add_signed(shift);
-            s.frontier = s.frontier.wrapping_add_signed(shift);
-        }
     }
 }
 
@@ -346,13 +339,7 @@ fn drive(
             // window distances and zone numbers wrap.
             92..=93 => Some(rng.around(100) as u64),
             // Random far lines: allocations and evictions.
-            94..=95 => Some(rng.pick(&REGIONS).wrapping_add(rng.below(1 << 20))),
-            96..=97 => {
-                let shift = rng.around(1 << 12);
-                Prefetcher::translate(fast, shift);
-                slow.translate(shift);
-                None
-            }
+            94..=97 => Some(rng.pick(&REGIONS).wrapping_add(rng.below(1 << 20))),
             _ => {
                 Prefetcher::reset(fast);
                 slow.reset();
