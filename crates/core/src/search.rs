@@ -27,8 +27,8 @@
 //!
 //! Counters ([`SearchCounters`] → [`SearchStats`]) record how much work
 //! the engine did and how much it skipped; the pipeline surfaces them in
-//! `PipelineReport::search` and the `bench_search` harness snapshots them
-//! to `BENCH_search.json`.
+//! `PipelineReport::search` and perfbench reports them per layer
+//! (`core.search.*`).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

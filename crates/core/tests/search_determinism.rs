@@ -11,7 +11,8 @@
 //!
 //! The suite is built at reduced sizes so the exhaustive reference sweep
 //! stays fast; the candidate spaces are still thousands-deep for the
-//! temporal kernels.
+//! temporal kernels. The soundness check also runs at bench sizes
+//! (matmul at 1440, doitgen at 96), where the spaces are widest.
 
 use palo_arch::presets;
 use palo_core::{ModelKind, Optimizer, OptimizerConfig, SearchOptions};
@@ -36,6 +37,16 @@ fn small_suite() -> Vec<(String, LoopNest)> {
     }
     assert_eq!(nests.len(), 14); // 12 kernels, 3mm has 3 stages
     nests
+}
+
+/// The widest candidate spaces the exhaustive sweep still finishes in
+/// milliseconds: matmul at 1440 and the 4-deep doitgen at 96. The
+/// 7-deep convlayer's bench size, 16, is already `small_suite`'s.
+fn bench_size_nests() -> Vec<(String, LoopNest)> {
+    [(Benchmark::Matmul, 1440), (Benchmark::Doitgen, 96)]
+        .into_iter()
+        .map(|(b, n)| (format!("{}@{n}", b.name()), b.build(n).unwrap().remove(0)))
+        .collect()
 }
 
 fn engine_config(threads: usize) -> OptimizerConfig {
@@ -68,7 +79,7 @@ fn pruned_memoized_search_is_exhaustive_search() {
     // Both target machines of the paper, so the L2-prefetcher-sensitive
     // terms are exercised in both configurations.
     for arch in [presets::intel_i7_5930k(), presets::intel_i7_6700()] {
-        for (name, nest) in small_suite() {
+        for (name, nest) in small_suite().into_iter().chain(bench_size_nests()) {
             let exhaustive = Optimizer::with_config(
                 &arch,
                 OptimizerConfig {
@@ -141,10 +152,11 @@ fn worker_count_never_changes_the_schedule_for_the_simulated_model() {
 
 #[test]
 fn engine_does_real_work_on_the_suite() {
-    // The counters behind BENCH_search.json must show the engine actually
-    // pruning and memoizing on a temporal kernel, not just agreeing by
-    // doing nothing. The emu() memo is process-wide and a single search
-    // asks each bound once: a first search warms it, so a repeat must hit.
+    // The counters behind perfbench's `core.search.*` figures must show
+    // the engine actually pruning and memoizing on a temporal kernel, not
+    // just agreeing by doing nothing. The emu() memo is process-wide and
+    // a single search asks each bound once: a first search warms it, so a
+    // repeat must hit.
     let arch = presets::intel_i7_5930k();
     let nest = &Benchmark::Matmul.build(256).unwrap()[0];
     let optimizer = Optimizer::with_config(&arch, engine_config(2));
