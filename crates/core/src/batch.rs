@@ -21,7 +21,8 @@ use crate::pass::CacheStats;
 use crate::pipeline::{PipelineOutcome, RunOverrides};
 use crate::search::{parallel_map_in, resolve_threads};
 use crate::session::Session;
-use palo_ir::LoopNest;
+use palo_ir::{LoopNest, StableHash};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Concurrent batch executor borrowing a [`Session`].
@@ -158,9 +159,13 @@ impl<'s> BatchDriver<'s> {
     /// Claiming is lane- and size-aware: interactive items first, and
     /// within a lane the largest nests (by iteration count) first, so one
     /// huge nest overlaps the rest of the queue instead of serializing
-    /// its tail when it would otherwise be claimed last. The claim order
-    /// never affects a result bit (the determinism contract); it only
-    /// shapes wall-clock.
+    /// its tail when it would otherwise be claimed last. Within a lane,
+    /// a repeat of a nest already in that lane (equal canonical form, so
+    /// equal up to kernel and array names) is claimed after every
+    /// distinct nest: by then its first copy has usually finished, and
+    /// the repeat replays its artifacts instead of racing it on another
+    /// worker. The claim order never affects a result bit (the
+    /// determinism contract); it only shapes wall-clock.
     pub fn run_requests(&self, requests: &[BatchRequest]) -> BatchReport {
         let start = Instant::now();
         let before = self.session.cache_stats();
@@ -186,14 +191,20 @@ impl<'s> BatchDriver<'s> {
 }
 
 /// The claim order of a mixed batch: interactive lane before batch lane;
-/// within a lane, largest iteration count first; ties in input order
+/// within a lane, distinct nests before repeats (a nest whose
+/// [`digest`](palo_ir::StableHash::digest) an earlier request in the same
+/// lane has), then largest iteration count first; ties in input order
 /// (the order is a pure function of the request list — deterministic).
 fn claim_order(requests: &[BatchRequest]) -> Vec<usize> {
+    let mut seen = HashSet::new();
+    let repeat: Vec<bool> =
+        requests.iter().map(|r| !seen.insert((r.priority, r.nest.digest()))).collect();
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by(|&a, &b| {
         let (ra, rb) = (&requests[a], &requests[b]);
         ra.priority
             .cmp(&rb.priority)
+            .then(repeat[a].cmp(&repeat[b]))
             .then_with(|| rb.nest.iteration_count().cmp(&ra.nest.iteration_count()))
             .then(a.cmp(&b))
     });
@@ -208,13 +219,17 @@ mod tests {
     use palo_ir::{DType, NestBuilder};
 
     fn matmul(name: &str, n: usize) -> LoopNest {
+        matmul_named(name, ["A", "B", "C"], n)
+    }
+
+    fn matmul_named(name: &str, [an, bn, cn]: [&str; 3], n: usize) -> LoopNest {
         let mut b = NestBuilder::new(name, DType::F32);
         let i = b.var("i", n);
         let j = b.var("j", n);
         let k = b.var("k", n);
-        let a = b.array("A", &[n, n]);
-        let bm = b.array("B", &[n, n]);
-        let c = b.array("C", &[n, n]);
+        let a = b.array(an, &[n, n]);
+        let bm = b.array(bn, &[n, n]);
+        let c = b.array(cn, &[n, n]);
         b.accumulate(c, &[i, j], b.load(a, &[i, k]) * b.load(bm, &[k, j]));
         b.build().unwrap()
     }
@@ -266,6 +281,23 @@ mod tests {
         // Interactive first (largest first within the lane), then batch
         // largest-first, ties in input order.
         assert_eq!(claim_order(&requests), vec![3, 1, 0, 2, 4]);
+    }
+
+    #[test]
+    fn claim_order_puts_repeats_after_distinct_nests() {
+        let requests = vec![
+            BatchRequest::new(matmul("mm16", 16)),
+            BatchRequest::new(matmul("mm32", 32)),
+            BatchRequest::new(matmul("mm16_again", 16)),
+            // The same nest in the other lane is that lane's first copy.
+            BatchRequest::new(matmul("mm32_int", 32)).with_priority(Priority::Interactive),
+            BatchRequest::new(matmul("mm8", 8)),
+            // Equal up to array names: `3mm`'s `F = C·D` stage.
+            BatchRequest::new(matmul_named("3mm_f", ["C", "D", "F"], 32)),
+        ];
+        // Interactive first; then the batch lane's distinct nests largest
+        // first, then its repeats largest first.
+        assert_eq!(claim_order(&requests), vec![3, 1, 0, 4, 5, 2]);
     }
 
     #[test]

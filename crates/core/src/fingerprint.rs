@@ -6,8 +6,7 @@
 //! (DESIGN.md §12):
 //!
 //! * **Hashed:** the nest's canonical form ([`palo_ir::StableHash`] on
-//!   [`LoopNest`] — loops, arrays, dtype, statement; not the kernel
-//!   name), every [`Architecture`] parameter (cache geometry,
+//!   [`LoopNest`] — loops, array shapes, dtype, statement), every [`Architecture`] parameter (cache geometry,
 //!   prefetchers, timing, core counts), every model-relevant
 //!   [`OptimizerConfig`] field (ablation switches, candidate budget,
 //!   [`ModelKind`](crate::ModelKind)), the relevant
@@ -20,7 +19,9 @@
 //!   count, pruning and memoization are guaranteed not to change any
 //!   result bit (the engine's determinism contract, DESIGN.md §10), so
 //!   two requests differing only in search knobs share one cache line.
-//!   The kernel name (display-only). [`FaultPlan`](crate::FaultPlan) —
+//!   The kernel name and the array names (display-only: accesses name
+//!   arrays by position, and the only other reader, a validation error's
+//!   text, is never cached). [`FaultPlan`](crate::FaultPlan) —
 //!   an armed plan *bypasses* the cache entirely instead of keying it
 //!   (injected faults must fire on every run, and a faulted artifact
 //!   must never be served to a clean request).

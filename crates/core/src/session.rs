@@ -15,9 +15,10 @@
 //! exactly — same degradation ladder, same resource guards, same fault
 //! injection, same report — but each stage goes through
 //! [`Session::execute`], which consults the cache first. Re-running a
-//! nest the session has seen (or a *renamed* nest with the same canonical
-//! form) replays the cached artifacts: bit-identical decisions, rungs and
-//! estimates, without re-searching.
+//! nest the session has seen replays the cached artifacts: bit-identical
+//! decisions, rungs and estimates, without re-searching. So does a nest
+//! that differs only in its kernel or array names (same canonical form):
+//! `3mm`'s three stages and `matmul` at one size are one computation.
 //!
 //! A new artifact enters the memory tier at once; its disk write is the
 //! run's epilogue ([`PendingWrites`]). [`Session::run`] and friends
@@ -465,13 +466,17 @@ mod tests {
     }
 
     fn named_matmul(name: &str, n: usize) -> LoopNest {
+        matmul_with_arrays(name, ["A", "B", "C"], n)
+    }
+
+    fn matmul_with_arrays(name: &str, [an, bn, cn]: [&str; 3], n: usize) -> LoopNest {
         let mut b = NestBuilder::new(name, DType::F32);
         let i = b.var("i", n);
         let j = b.var("j", n);
         let k = b.var("k", n);
-        let a = b.array("A", &[n, n]);
-        let bm = b.array("B", &[n, n]);
-        let c = b.array("C", &[n, n]);
+        let a = b.array(an, &[n, n]);
+        let bm = b.array(bn, &[n, n]);
+        let c = b.array(cn, &[n, n]);
         b.accumulate(c, &[i, j], b.load(a, &[i, k]) * b.load(bm, &[k, j]));
         b.build().unwrap()
     }
@@ -507,6 +512,10 @@ mod tests {
         session.run(&named_matmul("mm_a", 16)).unwrap();
         let renamed = session.run(&named_matmul("a_completely_different_label", 16)).unwrap();
         assert_eq!(renamed.report.cache.misses, 0);
+        // Array names are labels too: `3mm`'s `G = E·F` replays `matmul`.
+        let stage = session.run(&matmul_with_arrays("3mm_g", ["E", "F", "G"], 16)).unwrap();
+        assert_eq!(stage.report.cache.misses, 0);
+        assert!(stage.report.cache.hits > 0);
     }
 
     #[test]

@@ -21,7 +21,8 @@ impl ArrayId {
 /// dimension that walks it the *leading (column) dimension* (`Bc`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArrayDecl {
-    /// Name used in diagnostics and pretty-printing.
+    /// Name used in diagnostics and pretty-printing. Not part of the
+    /// nest's canonical form: accesses name the array by [`ArrayId`].
     pub name: String,
     /// Extent of each dimension, outermost first (row-major).
     pub dims: Vec<usize>,

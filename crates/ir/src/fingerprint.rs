@@ -18,10 +18,12 @@
 //!
 //! [`LoopNest`] hashes in *canonical form*: everything that can influence
 //! an optimization, lowering, validation or simulation artifact — loop
-//! names and extents, dtype, array declarations, the statement tree — is
-//! folded in; the nest's kernel *name* is display-only metadata and is
-//! deliberately excluded, so renaming a kernel does not invalidate its
-//! cached artifacts.
+//! names and extents, dtype, array shapes, the statement tree — is folded
+//! in. Names that only label output are excluded: the nest's kernel name
+//! and every array's name. Arrays are identified by position
+//! ([`ArrayId`] in every [`Access`]), so two nests that differ only in
+//! these names — `3mm`'s `E = A·B` and `matmul`'s `C = A·B` at one size —
+//! share every cached artifact.
 
 use crate::access::{Access, ArrayDecl, ArrayId};
 use crate::affine::{AffineIndex, VarId};
@@ -247,8 +249,10 @@ impl StableHash for Access {
 }
 
 impl StableHash for ArrayDecl {
+    /// The shape only. The name labels output (and a validation error's
+    /// text, which is never cached); accesses refer to the array by
+    /// [`ArrayId`], so its position in the declaration list keys it.
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_str(&self.name);
         self.dims.stable_hash(h);
     }
 }
@@ -324,8 +328,9 @@ impl StableHash for Statement {
 
 impl StableHash for LoopNest {
     /// Canonical form: dtype, loops (name + extent, program order),
-    /// array declarations and the statement tree. The kernel name is
-    /// excluded — it labels output, it never changes an artifact.
+    /// array shapes (declaration order) and the statement tree. The
+    /// kernel name and the array names are excluded — they label output,
+    /// they never change an artifact.
     fn stable_hash(&self, h: &mut StableHasher) {
         self.dtype().stable_hash(h);
         self.vars().stable_hash(h);
@@ -351,6 +356,22 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// `arrays[2][i][j] += arrays[x][i][k] * arrays[y][k][j]` at n = 32,
+    /// over three arrays declared in order with the given names and
+    /// shapes.
+    fn product(arrays: [(&str, [usize; 2]); 3], x: usize, y: usize) -> LoopNest {
+        let mut b = NestBuilder::new("product", DType::F32);
+        let i = b.var("i", 32);
+        let j = b.var("j", 32);
+        let k = b.var("k", 32);
+        let ids: Vec<ArrayId> =
+            arrays.iter().map(|(name, dims)| b.array(*name, dims)).collect();
+        b.accumulate(ids[2], &[i, j], b.load(ids[x], &[i, k]) * b.load(ids[y], &[k, j]));
+        b.build().unwrap()
+    }
+
+    const SQUARE: [usize; 2] = [32, 32];
+
     #[test]
     fn digest_is_deterministic_and_known() {
         let a = matmul("mm", 32, DType::F32).digest();
@@ -366,6 +387,24 @@ mod tests {
             matmul("mm", 32, DType::F32).digest(),
             matmul("renamed", 32, DType::F32).digest()
         );
+        // Array names label output too: `3mm`'s `G = E·F` is `matmul`.
+        let abc = [("A", SQUARE), ("B", SQUARE), ("C", SQUARE)];
+        let efg = [("E", SQUARE), ("F", SQUARE), ("G", SQUARE)];
+        assert_eq!(product(abc, 0, 1).digest(), product(efg, 0, 1).digest());
+        assert_eq!(product(abc, 0, 1).digest(), matmul("mm", 32, DType::F32).digest());
+    }
+
+    #[test]
+    fn canonical_form_keeps_what_the_walker_reads() {
+        let abc = [("A", SQUARE), ("B", SQUARE), ("C", SQUARE)];
+        let base = product(abc, 0, 1).digest();
+        // `A·A` (syrk-style) reads one array twice; `A·B` reads two.
+        assert_ne!(base, product(abc, 0, 0).digest());
+        // Swapped operands walk each array with the other's subscripts.
+        assert_ne!(base, product(abc, 1, 0).digest());
+        // A changed dim moves every later array and changes strides.
+        let wide = [("A", SQUARE), ("B", [32, 40]), ("C", SQUARE)];
+        assert_ne!(base, product(wide, 0, 1).digest());
     }
 
     #[test]

@@ -45,11 +45,11 @@
 //! the partial results plus cache statistics are still printed.
 //! `--cache-stats` prints the session's cache counters afterwards.
 
-use palo::arch::{presets, Architecture};
+use palo::arch::Architecture;
 use palo::baselines::{schedule_for, Technique};
+use palo::cli::{cache_report, value, SharedFlags};
 use palo::core::{
-    CacheConfig, CacheStats, ModelKind, Optimizer, OptimizerConfig, PipelineConfig,
-    PipelineReport, PolicyKind, Priority, Session,
+    ModelKind, Optimizer, OptimizerConfig, PipelineConfig, PipelineReport, Priority, Session,
 };
 use palo::serve::{
     signal, Fidelity, NestResult, Request, Responder, Response, ServeConfig, Server, ShedPolicy,
@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 struct Args {
     kernel: String,
     size: Option<usize>,
-    platform: String,
+    shared: SharedFlags,
     prefetcher: Option<String>,
     technique: String,
     model: ModelKind,
@@ -74,7 +74,6 @@ struct Args {
     batch: bool,
     threads: Option<usize>,
     cache_stats: bool,
-    cache: CacheConfig,
 }
 
 fn usage() -> ExitCode {
@@ -100,7 +99,7 @@ fn parse() -> Result<Args, ExitCode> {
     let mut args = Args {
         kernel: String::new(),
         size: None,
-        platform: "5930k".into(),
+        shared: SharedFlags::default(),
         prefetcher: None,
         technique: "proposed".into(),
         model: ModelKind::Paper,
@@ -112,49 +111,20 @@ fn parse() -> Result<Args, ExitCode> {
         batch: false,
         threads: None,
         cache_stats: false,
-        cache: CacheConfig::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--size" => {
-                args.size = Some(it.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
-            }
-            "--platform" => args.platform = it.next().ok_or_else(usage)?,
-            "--prefetcher" => args.prefetcher = Some(it.next().ok_or_else(usage)?),
-            "--technique" => args.technique = it.next().ok_or_else(usage)?,
-            "--model" => {
-                let name = it.next().ok_or_else(usage)?;
-                args.model = name.parse().map_err(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })?;
-            }
+            flag if args.shared.accept(flag, &mut it, usage)? => {}
+            "--size" => args.size = Some(value(&a, &mut it, usage)?),
+            "--prefetcher" => args.prefetcher = Some(value(&a, &mut it, usage)?),
+            "--technique" => args.technique = value(&a, &mut it, usage)?,
+            "--model" => args.model = value(&a, &mut it, usage)?,
             "--ablate" => {
-                let list = it.next().ok_or_else(usage)?;
+                let list: String = value(&a, &mut it, usage)?;
                 args.ablate.extend(list.split(',').map(|s| s.trim().to_string()));
             }
-            "--threads" => {
-                args.threads = Some(it.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
-            }
-            "--cache-dir" => {
-                args.cache.dir = Some(std::path::PathBuf::from(it.next().ok_or_else(usage)?))
-            }
-            "--cache-policy" => {
-                let name = it.next().ok_or_else(usage)?;
-                args.cache.policy = name.parse::<PolicyKind>().map_err(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })?;
-            }
-            "--cache-capacity" => {
-                args.cache.capacity_entries =
-                    Some(it.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
-            }
-            "--cache-capacity-bytes" => {
-                args.cache.capacity_bytes =
-                    Some(it.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
-            }
+            "--threads" => args.threads = Some(value(&a, &mut it, usage)?),
             "--estimate" => args.estimate = true,
             "--profile" => {
                 args.profile = true;
@@ -247,30 +217,6 @@ fn print_profile(report: &PipelineReport) {
     }
 }
 
-fn print_cache_stats(s: &CacheStats, cached_artifacts: usize, persistent: bool) {
-    println!(
-        "// cache: {} hits, {} misses, {} bypasses ({:.0}% hit rate, {} artifacts)",
-        s.hits,
-        s.misses,
-        s.bypasses,
-        s.hit_rate() * 100.0,
-        cached_artifacts
-    );
-    println!(
-        "//   mem tier:  {} hits, {} misses, {} evictions, {} bytes written",
-        s.mem.hits, s.mem.misses, s.mem.evictions, s.mem.bytes_written
-    );
-    if persistent {
-        println!(
-            "//   disk tier: {} hits, {} misses, {} evictions, {} bytes written",
-            s.disk.hits, s.disk.misses, s.disk.evictions, s.disk.bytes_written
-        );
-    }
-    if s.anomalies > 0 {
-        println!("//   {} corrupt entries healed (served as misses)", s.anomalies);
-    }
-}
-
 /// The served-batch equivalent of [`print_profile`]: the per-pass and
 /// replay telemetry carried back in the protocol's [`NestResult`].
 fn print_profile_nest(n: &NestResult) {
@@ -314,7 +260,7 @@ fn run_batch(args: &Args, arch: &Architecture) -> ExitCode {
         pipeline: PipelineConfig {
             optimizer: config,
             simulate: args.estimate,
-            cache: args.cache.clone(),
+            cache: args.shared.cache.clone(),
             ..PipelineConfig::default()
         },
         workers: args.threads,
@@ -372,7 +318,7 @@ fn run_batch(args: &Args, arch: &Architecture) -> ExitCode {
     // in the channel), still-queued ones come back as typed `shutdown`
     // rejections.
     let cached_artifacts = server.session().cached_artifacts();
-    let persistent = args.cache.dir.is_some();
+    let persistent = args.shared.cache.dir.is_some();
     let stats = server.shutdown();
     while let Ok(r) = rx.try_recv() {
         responses.push(r);
@@ -416,7 +362,7 @@ fn run_batch(args: &Args, arch: &Architecture) -> ExitCode {
         }
     }
     if args.cache_stats {
-        print_cache_stats(&stats.cache, cached_artifacts, persistent);
+        print!("{}", cache_report(&stats.cache, cached_artifacts, persistent));
     }
     debug_assert_eq!(stats.responses() as usize, responses.len(), "a response was lost");
     if interrupted {
@@ -433,10 +379,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
-    let Some(mut arch) = presets::repro::by_name(&args.platform) else {
-        eprintln!("unknown platform {:?}", args.platform);
-        return usage();
-    };
+    let mut arch = args.shared.arch.clone();
     if let Some(overrides) = &args.prefetcher {
         if let Err(e) = apply_prefetcher_overrides(&mut arch, overrides) {
             eprintln!("{e}");
@@ -466,7 +409,8 @@ fn main() -> ExitCode {
     // One session for every nest and estimate of this invocation: the
     // model is resolved once and repeated work hits the artifact cache
     // (persisting across processes when --cache-dir is given).
-    let pipeline = PipelineConfig { cache: args.cache.clone(), ..PipelineConfig::default() };
+    let pipeline =
+        PipelineConfig { cache: args.shared.cache.clone(), ..PipelineConfig::default() };
     let session = match Session::new(&arch, pipeline) {
         Ok(s) => s,
         Err(e) => {
@@ -563,11 +507,8 @@ fn main() -> ExitCode {
         }
     }
     if args.cache_stats {
-        print_cache_stats(
-            &session.cache_stats(),
-            session.cached_artifacts(),
-            args.cache.dir.is_some(),
-        );
+        let (stats, persistent) = (session.cache_stats(), args.shared.cache.dir.is_some());
+        print!("{}", cache_report(&stats, session.cached_artifacts(), persistent));
     }
     ExitCode::SUCCESS
 }

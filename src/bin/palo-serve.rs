@@ -25,8 +25,8 @@
 //! rejection, and the lifetime counters go to stderr. Exactly one
 //! response per request, always.
 
-use palo::arch::presets;
-use palo::core::{CacheConfig, CacheStats, PipelineConfig, PolicyKind};
+use palo::cli::{cache_report, value, SharedFlags};
+use palo::core::PipelineConfig;
 use palo::serve::{signal, Responder, Response, ServeConfig, Server, ShedPolicy};
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 struct Args {
-    platform: String,
+    shared: SharedFlags,
     socket: Option<String>,
     workers: Option<usize>,
     queue: usize,
@@ -43,7 +43,6 @@ struct Args {
     yellow: f64,
     red: f64,
     estimate: bool,
-    cache: CacheConfig,
 }
 
 fn usage() -> ExitCode {
@@ -62,7 +61,7 @@ fn usage() -> ExitCode {
 fn parse() -> Result<Args, ExitCode> {
     let shed = ShedPolicy::default();
     let mut args = Args {
-        platform: "5930k".into(),
+        shared: SharedFlags::default(),
         socket: None,
         workers: None,
         queue: 64,
@@ -70,78 +69,23 @@ fn parse() -> Result<Args, ExitCode> {
         yellow: shed.yellow,
         red: shed.red,
         estimate: true,
-        cache: CacheConfig::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut next_parsed = |name: &str| -> Result<String, ExitCode> {
-            it.next().ok_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
         match a.as_str() {
-            "--platform" => args.platform = next_parsed("--platform")?,
-            "--socket" => args.socket = Some(next_parsed("--socket")?),
-            "--workers" => {
-                args.workers = Some(next_parsed("--workers")?.parse().map_err(|_| usage())?)
-            }
-            "--queue" => args.queue = next_parsed("--queue")?.parse().map_err(|_| usage())?,
-            "--max-sims" => {
-                args.max_sims = Some(next_parsed("--max-sims")?.parse().map_err(|_| usage())?)
-            }
-            "--yellow" => {
-                args.yellow = next_parsed("--yellow")?.parse().map_err(|_| usage())?
-            }
-            "--red" => args.red = next_parsed("--red")?.parse().map_err(|_| usage())?,
+            flag if args.shared.accept(flag, &mut it, usage)? => {}
+            "--socket" => args.socket = Some(value(&a, &mut it, usage)?),
+            "--workers" => args.workers = Some(value(&a, &mut it, usage)?),
+            "--queue" => args.queue = value(&a, &mut it, usage)?,
+            "--max-sims" => args.max_sims = Some(value(&a, &mut it, usage)?),
+            "--yellow" => args.yellow = value(&a, &mut it, usage)?,
+            "--red" => args.red = value(&a, &mut it, usage)?,
             "--no-estimate" => args.estimate = false,
-            "--cache-dir" => {
-                args.cache.dir = Some(std::path::PathBuf::from(next_parsed("--cache-dir")?))
-            }
-            "--cache-policy" => {
-                args.cache.policy =
-                    next_parsed("--cache-policy")?.parse::<PolicyKind>().map_err(|e| {
-                        eprintln!("{e}");
-                        usage()
-                    })?
-            }
-            "--cache-capacity" => {
-                args.cache.capacity_entries =
-                    Some(next_parsed("--cache-capacity")?.parse().map_err(|_| usage())?)
-            }
-            "--cache-capacity-bytes" => {
-                args.cache.capacity_bytes =
-                    Some(next_parsed("--cache-capacity-bytes")?.parse().map_err(|_| usage())?)
-            }
             "-h" | "--help" => return Err(usage()),
             _ => return Err(usage()),
         }
     }
     Ok(args)
-}
-
-/// The session's cache totals. Printed after the drain, so they include
-/// the disk writes persisted after the last answers.
-fn print_final_stats(cache: &CacheStats, cached_artifacts: usize) {
-    eprintln!(
-        "// cache: {} hits, {} misses, {} bypasses ({:.0}% hit rate, {} artifacts)",
-        cache.hits,
-        cache.misses,
-        cache.bypasses,
-        cache.hit_rate() * 100.0,
-        cached_artifacts
-    );
-    eprintln!(
-        "//   mem tier:  {} hits, {} misses, {} evictions; disk tier: {} hits, {} misses, \
-         {} bytes written; {} anomalies healed",
-        cache.mem.hits,
-        cache.mem.misses,
-        cache.mem.evictions,
-        cache.disk.hits,
-        cache.disk.misses,
-        cache.disk.bytes_written,
-        cache.anomalies,
-    );
 }
 
 fn print_drain_stats(stats: &palo::serve::ServeStats) {
@@ -175,7 +119,7 @@ fn stdout_responder() -> Responder {
 
 /// stdin → server. A reader thread feeds lines through a channel so the
 /// main loop can poll the signal flag while the pipe is quiet.
-fn serve_stdin(server: Server) -> ExitCode {
+fn serve_stdin(server: Server, persistent: bool) -> ExitCode {
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::spawn(move || {
         for line in std::io::stdin().lock().lines() {
@@ -216,7 +160,9 @@ fn serve_stdin(server: Server) -> ExitCode {
 
     let cached_artifacts = server.session().cached_artifacts();
     let stats = server.shutdown();
-    print_final_stats(&stats.cache, cached_artifacts);
+    // After the drain: the totals include the writes persisted after the
+    // last answers.
+    eprint!("{}", cache_report(&stats.cache, cached_artifacts, persistent));
     print_drain_stats(&stats);
     if interrupted {
         ExitCode::from(130)
@@ -229,7 +175,7 @@ fn serve_stdin(server: Server) -> ExitCode {
 /// signal flag is polled between accepts; one reader thread per
 /// connection, responses written back to that connection.
 #[cfg(unix)]
-fn serve_socket(server: Server, path: &str) -> ExitCode {
+fn serve_socket(server: Server, path: &str, persistent: bool) -> ExitCode {
     use std::os::unix::net::UnixListener;
 
     let _ = std::fs::remove_file(path);
@@ -324,14 +270,12 @@ fn serve_socket(server: Server, path: &str) -> ExitCode {
         Ok(server) => {
             let cached_artifacts = server.session().cached_artifacts();
             let stats = server.shutdown();
-            print_final_stats(&stats.cache, cached_artifacts);
+            eprint!("{}", cache_report(&stats.cache, cached_artifacts, persistent));
             print_drain_stats(&stats);
         }
         Err(server) => {
-            print_final_stats(
-                &server.session().cache_stats(),
-                server.session().cached_artifacts(),
-            );
+            let s = server.session();
+            eprint!("{}", cache_report(&s.cache_stats(), s.cached_artifacts(), persistent));
             eprintln!("// connection thread leaked; skipping drain report")
         }
     }
@@ -339,7 +283,7 @@ fn serve_socket(server: Server, path: &str) -> ExitCode {
 }
 
 #[cfg(not(unix))]
-fn serve_socket(_server: Server, _path: &str) -> ExitCode {
+fn serve_socket(_server: Server, _path: &str, _persistent: bool) -> ExitCode {
     eprintln!("--socket requires a Unix platform");
     ExitCode::FAILURE
 }
@@ -348,10 +292,6 @@ fn main() -> ExitCode {
     let args = match parse() {
         Ok(a) => a,
         Err(code) => return code,
-    };
-    let Some(arch) = presets::repro::by_name(&args.platform) else {
-        eprintln!("unknown platform {:?}", args.platform);
-        return usage();
     };
     if !(args.yellow.is_finite() && args.red.is_finite() && args.yellow <= args.red) {
         eprintln!("--yellow must be <= --red");
@@ -363,26 +303,27 @@ fn main() -> ExitCode {
         pipeline: PipelineConfig {
             simulate: args.estimate,
             max_concurrent_sims: args.max_sims,
-            cache: args.cache.clone(),
+            cache: args.shared.cache.clone(),
             ..PipelineConfig::default()
         },
         workers: args.workers,
         queue_capacity: args.queue,
         shed: ShedPolicy { yellow: args.yellow, red: args.red },
     };
-    let server = match Server::start(&arch, config) {
+    let server = match Server::start(&args.shared.arch, config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot open session: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(dir) = &args.cache.dir {
+    if let Some(dir) = &args.shared.cache.dir {
         eprintln!("// artifact store: {} (persistent)", dir.display());
     }
 
+    let persistent = args.shared.cache.dir.is_some();
     match &args.socket {
-        Some(path) => serve_socket(server, path),
-        None => serve_stdin(server),
+        Some(path) => serve_socket(server, path, persistent),
+        None => serve_stdin(server, persistent),
     }
 }

@@ -21,6 +21,7 @@
 //!   ([`palo_baselines`])
 //! * [`suite`] — the 12 evaluation kernels ([`palo_suite`])
 //! * [`serve`] — the long-lived optimization daemon ([`palo_serve`])
+//! * [`cli`] — what the `palo-opt` and `palo-serve` binaries share
 //!
 //! # Examples
 //!
@@ -55,6 +56,8 @@
 //! assert!(out.report.estimate.is_some());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+pub mod cli;
 
 pub use palo_arch as arch;
 pub use palo_baselines as baselines;

@@ -161,6 +161,47 @@ proptest! {
     }
 }
 
+/// Array names are labels, not content: after `matmul(n)`, every stage of
+/// `3mm(n)` on the same session is served from the cache (`E = A·B`,
+/// `F = C·D` and `G = E·F` are `C = A·B` renamed) and replays what a cold
+/// run of that stage on a fresh session computes, down to every
+/// simulator counter.
+#[test]
+fn threemm_stages_replay_matmul_artifacts() {
+    use palo::suite::kernels;
+
+    let n = 24;
+    let arch = presets::intel_i7_6700();
+    let session = Session::new(&arch, PipelineConfig::default()).expect("session");
+    session.run(&kernels::matmul(n).expect("matmul")).expect("matmul run");
+    for stage in kernels::threemm(n).expect("3mm") {
+        let warm = session.run(&stage).expect("stage run");
+        assert_eq!(
+            warm.report.cache.misses,
+            0,
+            "{} recomputed: {:?}",
+            stage.name(),
+            warm.report.cache
+        );
+        assert!(warm.report.cache.hits > 0, "{}", stage.name());
+
+        let cold = Session::new(&arch, PipelineConfig::default())
+            .expect("session")
+            .run(&stage)
+            .expect("cold stage run");
+        assert!(cold.report.cache.misses > 0);
+        assert_eq!(&warm.decision, &cold.decision, "{}", stage.name());
+        assert_eq!(warm.report.rung, cold.report.rung);
+        assert_eq!(warm.schedule.to_string(), cold.schedule.to_string());
+        let (w, c) = (
+            warm.report.estimate.as_ref().expect("warm estimate"),
+            cold.report.estimate.as_ref().expect("cold estimate"),
+        );
+        assert_eq!(w.ms.to_bits(), c.ms.to_bits(), "{}", stage.name());
+        assert_eq!(w.stats, c.stats, "{}", stage.name());
+    }
+}
+
 /// Every worker count, cold or warm, produces the same decisions, rungs
 /// and estimates over a mixed batch (temporal, spatial-free copy,
 /// duplicate kernels).
