@@ -264,7 +264,7 @@ impl Cache {
     /// cache; pair with [`Cache::insert_at`].
     #[inline]
     pub(crate) fn access_with_victim(&mut self, line: u64, write: bool) -> AccessOutcome {
-        let streak = self.hit_streak(line, 0, 1, write);
+        let streak = self.hit_streak(line, 0, 0, 1, write);
         match streak.missed {
             None => AccessOutcome::Hit { first_prefetch_use: streak.first_uses != 0 },
             Some(victim) => AccessOutcome::Miss { victim },
@@ -272,25 +272,35 @@ impl Cache {
     }
 
     /// [`Cache::access_with_victim`] over a constant-stride streak: up to
-    /// `n` lines from `line`, `stride` apart, stopping at the first miss.
-    /// Every hit makes the line most-recent and (for writes) dirty, and
-    /// clears its prefetched flag; the miss (if any) leaves the cache
-    /// untouched and reports its victim slot under the same validity
-    /// rule. The predicted way is tried first and the fused scan runs
-    /// only on a wrong guess. The recency clock, the set geometry
-    /// and the slot and predictor tables stay in locals for the whole
-    /// streak, so a correctly predicted hit costs one compare and one
-    /// stamp write.
+    /// `n` accesses to the lines `pos >> shift`, `pos` moving `step`
+    /// apart (`shift` 0 walks line addresses directly; the line shift
+    /// walks byte addresses, for strides that are not whole lines),
+    /// stopping at the first miss. Every hit makes the line most-recent
+    /// and (for writes) dirty, and clears its prefetched flag; the miss
+    /// (if any) leaves the cache untouched and reports its victim slot
+    /// under the same validity rule. The predicted way is tried first and
+    /// the fused scan runs only on a wrong guess. The recency clock, the
+    /// set geometry and the slot and predictor tables stay in locals for
+    /// the whole streak, so a correctly predicted hit costs one compare
+    /// and one stamp write.
     #[inline]
-    pub(crate) fn hit_streak(&mut self, line: u64, stride: i64, n: u64, write: bool) -> Streak {
+    pub(crate) fn hit_streak(
+        &mut self,
+        pos: u64,
+        step: i64,
+        shift: u32,
+        n: u64,
+        write: bool,
+    ) -> Streak {
         let geo = self.geo;
         if geo.mask != u64::MAX {
             // Power-of-two set count (every L1 the presets describe): a
             // mask-only set index keeps the division fallbacks, and the
             // registers they need, out of the loop.
-            self.streak_by(|l| (l & geo.mask) as usize * geo.ways, line, stride, n, write)
+            let base_of = |l| (l & geo.mask) as usize * geo.ways;
+            self.streak_by(base_of, pos, step, shift, n, write)
         } else {
-            self.streak_by(|l| geo.base(l), line, stride, n, write)
+            self.streak_by(|l| geo.base(l), pos, step, shift, n, write)
         }
     }
 
@@ -299,8 +309,9 @@ impl Cache {
     fn streak_by(
         &mut self,
         base_of: impl Fn(u64) -> usize,
-        line: u64,
-        stride: i64,
+        pos: u64,
+        step: i64,
+        shift: u32,
         n: u64,
         write: bool,
     ) -> Streak {
@@ -309,9 +320,10 @@ impl Cache {
         let pred = &mut *self.pred;
         let wbit = if write { DIRTY } else { 0 };
         let mut stamp = self.stamp;
-        let mut line = line;
+        let mut pos = pos;
         let mut streak = Streak { hits: 0, first_uses: 0, missed: None };
         while streak.hits < n {
+            let line = pos >> shift;
             let (base, slot) = (base_of(line), pred_slot(line));
             let i = match lookup(meta, addrs, ways, base, pred[slot], line) {
                 Ok(i) => i,
@@ -326,7 +338,7 @@ impl Cache {
             stamp += 1;
             meta[i] = (stamp << 2) | (m & DIRTY) | wbit;
             streak.hits += 1;
-            line = line.wrapping_add_signed(stride);
+            pos = pos.wrapping_add_signed(step);
         }
         self.stamp = stamp;
         streak

@@ -68,11 +68,101 @@ pub struct AccessRun {
     pub kind: AccessKind,
 }
 
+/// Longest line run one trace event stands for: the walker chunks longer
+/// whole-line-stride walks into runs of at most this many lines, so its
+/// guards keep their scalar-path granularity, and [`ReplayStats::runs`]
+/// counts a block's run in the same chunks.
+pub const RUN_CHUNK: u64 = 4096;
+
+/// One array reference of a trace block ([`Hierarchy::access_block`]):
+/// the walker's innermost loop for this reference, repeated once per
+/// iteration of the loop above it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockAccess {
+    /// Byte address the inner loop starts at in the block's first outer
+    /// iteration (for a [`InnerShape::Range`], the range's first byte).
+    pub addr: u64,
+    /// Byte delta of `addr` per outer iteration.
+    pub outer_delta: i64,
+    /// Demand kind of every access.
+    pub kind: AccessKind,
+    /// What the inner loop touches in one outer iteration.
+    pub inner: InnerShape,
+}
+
+impl BlockAccess {
+    /// Start address in outer iteration `t`.
+    #[inline]
+    pub fn addr_at(&self, t: u64) -> u64 {
+        self.addr.wrapping_add_signed(self.outer_delta.wrapping_mul(t as i64))
+    }
+}
+
+/// The inner loop of a [`BlockAccess`]: what one outer iteration issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InnerShape {
+    /// One byte range `[addr, addr + bytes)`: an element the inner loop
+    /// does not move (byte delta 0), or one it moves at most a line per
+    /// step, so every line of the span is touched.
+    Range {
+        /// Span in bytes (at least 1).
+        bytes: u64,
+    },
+    /// `count` elements of `bytes` bytes, `stride_lines` whole lines
+    /// apart: one line run of `count` lines while the element sits inside
+    /// one line, a strided walk in the outer iterations where it
+    /// straddles a line boundary.
+    Run {
+        /// Line delta per inner step (nonzero).
+        stride_lines: i64,
+        /// Inner steps.
+        count: u64,
+        /// Element size in bytes.
+        bytes: u64,
+    },
+    /// `count` elements of `bytes` bytes, `stride` bytes apart, each
+    /// touched as its own byte range: a stride that is neither at most a
+    /// line nor a whole number of lines.
+    Walk {
+        /// Byte delta per inner step.
+        stride: i64,
+        /// Inner steps.
+        count: u64,
+        /// Element size in bytes.
+        bytes: u64,
+    },
+}
+
+impl InnerShape {
+    /// Upper bound on the lines one outer iteration touches, with
+    /// `line`-byte lines (the walker's line-budget test).
+    pub fn line_bound(&self, line: u64) -> u64 {
+        let per_element = |bytes: u64| bytes.div_ceil(line) + 1;
+        match *self {
+            InnerShape::Range { bytes } => per_element(bytes),
+            InnerShape::Run { count, bytes, .. } | InnerShape::Walk { count, bytes, .. } => {
+                count.saturating_mul(per_element(bytes))
+            }
+        }
+    }
+}
+
+/// Whether `bytes` bytes at `addr` sit inside one `line`-byte line (a
+/// power of two).
+#[inline]
+pub(crate) fn within_line(addr: u64, bytes: u64, line: u64) -> bool {
+    (addr & (line - 1)) + bytes <= line
+}
+
 /// Replay-engine telemetry: how much of the traffic arrived batched.
 /// Deliberately *not* part of [`HierarchyStats`] — the differential
 /// contract is that compressed and scalar replay produce identical
 /// simulation statistics, while these counters describe the replay
-/// mechanism itself.
+/// mechanism itself. A trace block counts as the range and run events
+/// its expansion ([`LineSink::access_block`]) would issue, so the
+/// counts do not depend on how the walker batched them.
+///
+/// [`LineSink::access_block`]: crate::LineSink::access_block
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Batched access events consumed (runs and ranges).
@@ -339,18 +429,16 @@ impl Hierarchy {
     /// Touches every line overlapping `[addr, addr + bytes)` once — the
     /// batched entry point used by the trace generator for contiguous
     /// runs.
+    #[inline]
     pub fn access_range(&mut self, addr: u64, bytes: u64, kind: AccessKind) {
         if bytes == 0 {
             return;
         }
         let first = addr >> self.line_bits;
-        let last = (addr + bytes - 1) >> self.line_bits;
-        self.access_run(&AccessRun {
-            start_line: first,
-            stride_lines: 1,
-            count: last - first + 1,
-            kind,
-        });
+        let count = ((addr + bytes - 1) >> self.line_bits) - first + 1;
+        self.replay.runs += 1;
+        self.replay.run_lines += count;
+        self.replay_lines(first, 1, count, kind);
     }
 
     /// Consumes a whole constant-stride run. Statistically bit-identical
@@ -365,26 +453,121 @@ impl Hierarchy {
         }
         self.replay.runs += 1;
         self.replay.run_lines += run.count;
-        if run.count <= 2 || run.stride_lines == 0 || run.kind == AccessKind::NtStore {
-            let mut line = run.start_line;
-            for _ in 0..run.count {
-                self.access_line(line, run.kind);
-                line = line.wrapping_add_signed(run.stride_lines);
+        self.replay_lines(run.start_line, run.stride_lines, run.count, run.kind);
+    }
+
+    /// Consumes a trace block: `outer` iterations of the loop above the
+    /// walker's innermost loop, each issuing every access of `accesses`
+    /// in order. Bit-identical to the block's expansion into range and
+    /// run events ([`LineSink::access_block`]'s default), in statistics
+    /// and in [`ReplayStats`], but replayed in one loop: short ranges and
+    /// the elements of a strided walk take [`Hierarchy::access`]'s
+    /// transition inline, with their L1 hits consumed as one streak, and
+    /// line runs go to the run engine.
+    ///
+    /// [`LineSink::access_block`]: crate::LineSink::access_block
+    pub fn access_block(&mut self, outer: u64, accesses: &[BlockAccess]) {
+        let line = 1u64 << self.line_bits;
+        for t in 0..outer {
+            for a in accesses {
+                let addr = a.addr_at(t);
+                match a.inner {
+                    InnerShape::Range { bytes } => self.access_range(addr, bytes, a.kind),
+                    InnerShape::Run { stride_lines, count, bytes }
+                        if within_line(addr, bytes, line) =>
+                    {
+                        self.replay.runs += count.div_ceil(RUN_CHUNK);
+                        self.replay.run_lines += count;
+                        self.replay_lines(addr >> self.line_bits, stride_lines, count, a.kind);
+                    }
+                    InnerShape::Run { stride_lines, count, bytes } => {
+                        let stride = stride_lines.wrapping_mul(line as i64);
+                        self.access_walk(addr, stride, count, bytes, a.kind);
+                    }
+                    InnerShape::Walk { stride, count, bytes } => {
+                        self.access_walk(addr, stride, count, bytes, a.kind);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `count` byte ranges of `bytes` bytes from `addr`, `stride` bytes
+    /// apart, each replayed as one [`Hierarchy::access_range`]. When every
+    /// element is provably inside one line (a power-of-two size at most a
+    /// line, with the start and the stride multiples of it), each is one
+    /// line access, and the walk takes [`Hierarchy::access`]'s transition
+    /// per element with its L1 hits consumed in streaks.
+    fn access_walk(
+        &mut self,
+        addr: u64,
+        stride: i64,
+        count: u64,
+        bytes: u64,
+        kind: AccessKind,
+    ) {
+        let one_line = bytes.is_power_of_two()
+            && bytes <= 1 << self.line_bits
+            && addr.is_multiple_of(bytes)
+            && stride.unsigned_abs().is_multiple_of(bytes);
+        if !one_line || kind == AccessKind::NtStore {
+            let mut addr = addr;
+            for _ in 0..count {
+                self.access_range(addr, bytes, kind);
+                addr = addr.wrapping_add_signed(stride);
             }
             return;
         }
-        // L1 hits feed no prefetcher and evict nothing, so the run's
-        // leading hits are consumed before the run engine is set up; the
-        // engine starts at the first miss. Splitting a run there is exact
-        // because a split run replays bit-identically to its scalar
-        // expansion.
-        self.stats.total_accesses += run.count;
-        let write = run.kind == AccessKind::Store;
-        let mut line = run.start_line;
-        let mut left = run.count;
-        if let Some(victim) = self.l1_hit_streak(&mut line, &mut left, run.stride_lines, write)
-        {
-            self.access_run_fast(line, left, run.stride_lines, write, victim);
+        self.replay.runs += count;
+        self.replay.run_lines += count;
+        self.stats.total_accesses += count;
+        self.replay_per_line(addr, stride, self.line_bits, count, kind == AccessKind::Store);
+    }
+
+    /// Replays `count` lines from `start`, `stride` apart, exactly as that
+    /// many [`Hierarchy::access`] calls would. Short (or stationary) runs
+    /// take the per-line transition directly; longer ones go to the run
+    /// engine.
+    #[inline]
+    fn replay_lines(&mut self, start: u64, stride: i64, count: u64, kind: AccessKind) {
+        if kind == AccessKind::NtStore {
+            let mut line = start;
+            for _ in 0..count {
+                self.access_line(line, kind);
+                line = line.wrapping_add_signed(stride);
+            }
+            return;
+        }
+        // L1 hits feed no prefetcher and evict nothing, so the leading
+        // hits are consumed in one streak before a miss is served.
+        // Splitting a run there is exact because a split run replays
+        // bit-identically to its scalar expansion.
+        self.stats.total_accesses += count;
+        let write = kind == AccessKind::Store;
+        if count <= 2 || stride == 0 {
+            self.replay_per_line(start, stride, 0, count, write);
+            return;
+        }
+        let (mut line, mut left) = (start, count);
+        if let Some(victim) = self.l1_hit_streak(&mut line, &mut left, stride, 0, write) {
+            // The run engine starts at the first miss.
+            self.access_run_fast(line, left, stride, write, victim);
+        }
+    }
+
+    /// `access_line`'s transition for `count` demand accesses (loads or
+    /// stores, already counted in `total_accesses`) to the lines
+    /// `pos >> shift`, `pos` moving `step` apart: L1 hits in streaks, each
+    /// miss served and observed on its own.
+    #[inline]
+    fn replay_per_line(&mut self, pos: u64, step: i64, shift: u32, count: u64, write: bool) {
+        let (mut pos, mut left) = (pos, count);
+        while let Some(victim) = self.l1_hit_streak(&mut pos, &mut left, step, shift, write) {
+            let line = pos >> shift;
+            self.serve_l1_miss(line, write, victim);
+            self.observe_demand_miss(line);
+            pos = pos.wrapping_add_signed(step);
+            left -= 1;
         }
     }
 
@@ -426,21 +609,23 @@ impl Hierarchy {
         self.throttle.on_hits(first_uses);
     }
 
-    /// Consumes the L1 hits among the next `*left` lines from `*line`,
-    /// `stride` apart, stopping at the first miss: advances `*line` and
-    /// `*left` past the hits and accounts them in one go. Returns the L1
-    /// victim slot of the line that missed (left at `*line`, not yet
-    /// consumed), or `None` when every line hit.
+    /// Consumes the L1 hits among the next `*left` accesses to the lines
+    /// `*pos >> shift`, `*pos` moving `step` apart ([`Cache::hit_streak`]),
+    /// stopping at the first miss: advances `*pos` and `*left` past the
+    /// hits and accounts them in one go. Returns the L1 victim slot of the
+    /// access that missed (left at `*pos`, not yet consumed), or `None`
+    /// when every access hit.
     #[inline]
     fn l1_hit_streak(
         &mut self,
-        line: &mut u64,
+        pos: &mut u64,
         left: &mut u64,
-        stride: i64,
+        step: i64,
+        shift: u32,
         write: bool,
     ) -> Option<u32> {
-        let streak = self.caches[0].hit_streak(*line, stride, *left, write);
-        *line = line.wrapping_add_signed(stride.wrapping_mul(streak.hits as i64));
+        let streak = self.caches[0].hit_streak(*pos, step, shift, *left, write);
+        *pos = pos.wrapping_add_signed(step.wrapping_mul(streak.hits as i64));
         *left -= streak.hits;
         self.count_l1_hits(streak.hits, streak.first_uses);
         streak.missed
@@ -687,7 +872,7 @@ impl Hierarchy {
             }
             line = line.wrapping_add_signed(stride);
             left -= 1;
-            match self.l1_hit_streak(&mut line, &mut left, stride, write) {
+            match self.l1_hit_streak(&mut line, &mut left, stride, 0, write) {
                 Some(v) => victim = v,
                 None => break,
             }

@@ -19,9 +19,10 @@
 //!   bandwidth-side line transfer (write-combining).
 //!
 //! The simulator is line-granular: callers feed it demand accesses via
-//! [`Hierarchy::access`] or the batched [`Hierarchy::access_range`], and
-//! read per-level [`LevelStats`] plus a latency-weighted cycle estimate
-//! back out.
+//! [`Hierarchy::access`], the batched [`Hierarchy::access_range`] and
+//! [`Hierarchy::access_run`], or the trace blocks of
+//! [`Hierarchy::access_block`], and read per-level [`LevelStats`] plus a
+//! latency-weighted cycle estimate back out.
 //!
 //! # Examples
 //!
@@ -50,7 +51,9 @@ mod strategy;
 
 pub use cache::{Cache, Eviction};
 pub use error::SimConfigError;
-pub use hierarchy::{AccessKind, AccessRun, Hierarchy, ReplayStats, ServedBy};
+pub use hierarchy::{
+    AccessKind, AccessRun, BlockAccess, Hierarchy, InnerShape, ReplayStats, ServedBy, RUN_CHUNK,
+};
 pub use prefetch::{Stream, StridePrefetcher};
 pub use sink::LineSink;
 pub use stats::{HierarchyStats, LevelStats};

@@ -19,7 +19,9 @@
 //! garbage), and the checksum. Every failure is a typed [`FrameError`]
 //! — a store treats any of them as a cache miss plus a recorded
 //! anomaly, never as a hard error, because a corrupt or torn on-disk
-//! entry must cost a recompute, not an outage.
+//! entry must cost a recompute, not an outage. [`read_verified_frame`]
+//! reads bytes that already passed [`decode_frame`] without hashing the
+//! payload again.
 //!
 //! [`Codec`]: crate::Codec
 
@@ -121,6 +123,27 @@ pub fn encode_frame(pass: &str, pass_version: u32, payload: &[u8]) -> Vec<u8> {
 /// A typed [`FrameError`] for every way bytes can fail to be a frame;
 /// callers degrade all of them to a cache miss.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
+    let (frame, sum) = parse_frame(bytes)?;
+    if checksum(frame.payload) != sum {
+        return Err(FrameError::ChecksumMismatch);
+    }
+    Ok(frame)
+}
+
+/// Reads bytes that already passed [`decode_frame`] (a disk tier
+/// validates every entry before it serves it): the same header and
+/// length checks, without hashing the payload a second time.
+///
+/// # Errors
+///
+/// As [`decode_frame`], except that a checksum mismatch goes undetected.
+pub fn read_verified_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
+    parse_frame(bytes).map(|(frame, _)| frame)
+}
+
+/// Checks everything but the checksum, and returns the frame with the
+/// checksum its header declares.
+fn parse_frame(bytes: &[u8]) -> Result<(Frame<'_>, u64), FrameError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.read_raw(MAGIC.len()).map_err(|_| FrameError::Truncated)?;
     if magic != MAGIC {
@@ -150,10 +173,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
         return Err(FrameError::LengthMismatch { declared, present });
     }
     let payload = r.read_raw(present as usize).map_err(|_| FrameError::Truncated)?;
-    if checksum(payload) != sum {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    Ok(Frame { pass, pass_version, payload })
+    Ok((Frame { pass, pass_version, payload }, sum))
 }
 
 #[cfg(test)]
@@ -206,6 +226,19 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         assert_eq!(decode_frame(&bytes).unwrap_err(), FrameError::ChecksumMismatch);
+    }
+
+    #[test]
+    fn read_verified_frame_skips_only_the_checksum() {
+        let good = encode_frame("simulate", 3, b"payload");
+        assert_eq!(read_verified_frame(&good), decode_frame(&good));
+        let mut flipped = good.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert_eq!(decode_frame(&flipped).unwrap_err(), FrameError::ChecksumMismatch);
+        assert_eq!(read_verified_frame(&flipped).unwrap().payload, b"payloae");
+        for cut in 0..good.len() {
+            assert!(read_verified_frame(&good[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

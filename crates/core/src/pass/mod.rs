@@ -450,9 +450,10 @@ impl ArtifactCache {
                 }
             };
         }
-        // A disk-tier hit: validate the stamped header against the
-        // requesting pass, decode once, promote.
-        let decoded = match frame::decode_frame(&stored.bytes) {
+        // A disk-tier hit, whose frame the disk tier has verified (the
+        // memory tier only holds decoded values): check the stamped
+        // header against the requesting pass, decode once, promote.
+        let decoded = match frame::read_verified_frame(&stored.bytes) {
             Ok(f) if f.pass == pass && f.pass_version == pass_version => {
                 T::decode_from_slice(f.payload).ok()
             }

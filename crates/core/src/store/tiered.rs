@@ -12,8 +12,9 @@ use std::sync::Arc;
 /// A memory tier over an optional disk tier.
 ///
 /// * `get` reads through: a memory miss falls to disk; a disk hit is
-///   returned with `value: None` (encoded bytes only) for the typed
-///   layer to decode and [`put_mem`](TieredStore::put_mem);
+///   returned with `value: None` (encoded bytes only, the frame already
+///   verified by the disk tier) for the typed layer to decode and
+///   [`put_mem`](TieredStore::put_mem);
 /// * `put` writes through: every new artifact lands in both tiers, so a
 ///   future process starts warm even if the memory tier evicts it;
 /// * [`put_mem`](TieredStore::put_mem) and

@@ -3,8 +3,9 @@
 //! The cache hierarchy's batched [`AccessRun`] path is a *performance*
 //! feature: by contract it must be bit-identical to the scalar per-line
 //! reference path on every statistic the simulator reports. These tests drive both
-//! engines over the full evaluation suite (every benchmark nest, both the
-//! program-order schedule and the optimizer's proposed schedule) and over
+//! engines over the full evaluation suite (every benchmark nest at n=16
+//! and at sizes whose rows are not whole lines, both the program-order
+//! schedule and the optimizer's proposed schedule) and over
 //! proptest-sampled random affine nests, on all six platform presets
 //! (Table 3 plus the prefetcher-zoo trio), and demand equal
 //! [`HierarchyStats`]. A dedicated sweep additionally pins the contract
@@ -91,6 +92,27 @@ fn assert_engines_agree(
     Some((fast, slow))
 }
 
+/// Every suite nest at n=16, where every row is a whole number of lines,
+/// and at sizes whose rows are not, so the element a whole-line-stride
+/// walk touches straddles a line on some outer iterations and non-line
+/// strides take the strided walk: 14 nests at n=16 plus 36 at odd sizes.
+fn suite_nests() -> Vec<LoopNest> {
+    use palo::suite::Benchmark::*;
+    let mut nests = Vec::new();
+    for b in Benchmark::all() {
+        let odd: &[usize] = match b {
+            Tp | Tpm | Copy | Mask => &[130, 258],
+            Convlayer => &[5, 13],
+            Doitgen => &[13, 23],
+            _ => &[13, 23, 37],
+        };
+        for &n in std::iter::once(&16).chain(odd) {
+            nests.extend(b.build(n).unwrap_or_else(|e| panic!("{}({n}): {e}", b.name())));
+        }
+    }
+    nests
+}
+
 /// Every suite nest × every platform, program-order and optimized: the
 /// two replay engines must agree counter-for-counter, and both replay
 /// every line (the replay counters cover the whole trace; the skip
@@ -98,30 +120,29 @@ fn assert_engines_agree(
 #[test]
 fn suite_nests_compressed_equals_scalar_on_all_platforms() {
     let mut checked = 0usize;
+    let nests = suite_nests();
     for arch in &platforms() {
-        for b in Benchmark::all() {
-            let nests = b.build(16).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            for nest in &nests {
-                let decision = Optimizer::new(arch)
-                    .try_optimize(nest)
-                    .unwrap_or_else(|e| panic!("{}: {e}", nest.name()));
-                for schedule in [&Schedule::new(), decision.schedule()] {
-                    let what = format!("{} on {}: {schedule:?}", nest.name(), arch.name);
-                    let (fast, slow) = assert_engines_agree(nest, schedule, arch)
-                        .unwrap_or_else(|| panic!("{what}: does not lower"));
-                    for est in [&fast, &slow] {
-                        let r = est.replay;
-                        assert_eq!(r.run_lines, est.stats.total_accesses, "{what}");
-                        assert_eq!((r.cycles_skipped, r.lines_skipped), (0, 0), "{what}");
-                    }
+        for nest in &nests {
+            let decision = Optimizer::new(arch)
+                .try_optimize(nest)
+                .unwrap_or_else(|e| panic!("{}: {e}", nest.name()));
+            for schedule in [&Schedule::new(), decision.schedule()] {
+                let what = format!("{} on {}: {schedule:?}", nest.name(), arch.name);
+                let (fast, slow) = assert_engines_agree(nest, schedule, arch)
+                    .unwrap_or_else(|| panic!("{what}: does not lower"));
+                for est in [&fast, &slow] {
+                    let r = est.replay;
+                    assert_eq!(r.run_lines, est.stats.total_accesses, "{what}");
+                    assert_eq!((r.cycles_skipped, r.lines_skipped), (0, 0), "{what}");
                 }
-                checked += 1;
             }
+            checked += 1;
         }
     }
-    // 12 benchmarks, threemm contributing three nests → 14 per platform,
-    // on the three Table-3 presets plus the three zoo presets.
-    assert_eq!(checked, 6 * 14, "suite shape changed; update the gate");
+    // 12 benchmarks, threemm contributing three nests → 14 per size set,
+    // 50 nests per platform, on the three Table-3 presets plus the three
+    // zoo presets.
+    assert_eq!(checked, 6 * 50, "suite shape changed; update the gate");
 }
 
 /// Every `PrefetcherConfig` variant at both L1 and L2: the run-compressed
@@ -130,16 +151,14 @@ fn suite_nests_compressed_equals_scalar_on_all_platforms() {
 /// conservative no-lock fallbacks.
 #[test]
 fn every_prefetcher_strategy_compressed_equals_scalar() {
+    let nests = suite_nests();
     for (name, arch) in &strategy_zoo() {
-        for b in Benchmark::all() {
-            let nests = b.build(16).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            for nest in &nests {
-                assert_engines_agree(nest, &Schedule::new(), arch);
-                let decision = Optimizer::new(arch)
-                    .try_optimize(nest)
-                    .unwrap_or_else(|e| panic!("{} ({name}): {e}", nest.name()));
-                assert_engines_agree(nest, decision.schedule(), arch);
-            }
+        for nest in &nests {
+            assert_engines_agree(nest, &Schedule::new(), arch);
+            let decision = Optimizer::new(arch)
+                .try_optimize(nest)
+                .unwrap_or_else(|e| panic!("{} ({name}): {e}", nest.name()));
+            assert_engines_agree(nest, decision.schedule(), arch);
         }
     }
 }
