@@ -31,5 +31,5 @@ mod technique;
 pub use autosched::auto_scheduler;
 pub use autotuner::{Autotuner, TuneResult};
 pub use basic::baseline;
-pub use models::{tss, tts, TssModel, TtsModel};
+pub use models::{tss, tts};
 pub use technique::{schedule_for, schedule_for_within, Technique};

@@ -1,8 +1,8 @@
-//! Reimplementations of the TSS and TTS analytical tile-size models
-//! (§5.2, Table 6), expressed as [`CostModel`] impls.
+//! The TSS and TTS analytical tile-size models (§5.2, Table 6).
 //!
 //! Both models are the shared cost machinery of [`palo_core::model`]
-//! running under an *effective* configuration
+//! ([`PrefetchAwareModel`](palo_core::PrefetchAwareModel) under the names
+//! `"tss"`/`"tts"`) running under an *effective* configuration
 //! ([`ModelKind::effective_config`]) — the same search engine, the same
 //! [`CostBreakdown`](palo_core::CostBreakdown) reporting:
 //!
@@ -20,89 +20,29 @@
 //!   TSS's.
 
 use palo_arch::Architecture;
-use palo_core::model::{
-    CandidatePoint, CostBreakdown, CostModel, PrefetchAwareModel, TileContext,
-};
-use palo_core::{temporal, Decision, ModelKind, OptimizerConfig};
+use palo_core::{resolve, temporal, Decision, ModelKind, OptimizerConfig};
 use palo_ir::{LoopNest, NestInfo};
-
-/// The TSS cost model: the paper's analytical machinery with the
-/// prefetch awareness switched off. The prefetch-free knobs live in the
-/// *effective* configuration carried by the [`TileContext`]
-/// ([`ModelKind::Tss`]), so this impl only rebrands the shared scoring.
-pub struct TssModel;
-
-impl CostModel for TssModel {
-    fn name(&self) -> &'static str {
-        "tss"
-    }
-    fn lower_bound(&self, ctx: &TileContext<'_>, tile: &[usize]) -> Option<f64> {
-        PrefetchAwareModel::named("tss").lower_bound(ctx, tile)
-    }
-    fn evaluate(
-        &self,
-        ctx: &TileContext<'_>,
-        point: &CandidatePoint<'_>,
-    ) -> Option<CostBreakdown> {
-        PrefetchAwareModel::named("tss").evaluate(ctx, point)
-    }
-    fn evaluate_tile(
-        &self,
-        ctx: &TileContext<'_>,
-        tile: &[usize],
-        visit: &mut dyn FnMut(usize, usize, &CostBreakdown),
-    ) {
-        PrefetchAwareModel::named("tss").evaluate_tile(ctx, tile, visit)
-    }
-}
-
-/// The TTS/TurboTiling cost model: [`TssModel`]'s scoring against the
-/// shifted hierarchy ([`ModelKind::Tts`]'s effective architecture).
-pub struct TtsModel;
-
-impl CostModel for TtsModel {
-    fn name(&self) -> &'static str {
-        "tts"
-    }
-    fn lower_bound(&self, ctx: &TileContext<'_>, tile: &[usize]) -> Option<f64> {
-        PrefetchAwareModel::named("tts").lower_bound(ctx, tile)
-    }
-    fn evaluate(
-        &self,
-        ctx: &TileContext<'_>,
-        point: &CandidatePoint<'_>,
-    ) -> Option<CostBreakdown> {
-        PrefetchAwareModel::named("tts").evaluate(ctx, point)
-    }
-    fn evaluate_tile(
-        &self,
-        ctx: &TileContext<'_>,
-        tile: &[usize],
-        visit: &mut dyn FnMut(usize, usize, &CostBreakdown),
-    ) {
-        PrefetchAwareModel::named("tts").evaluate_tile(ctx, tile, visit)
-    }
-}
 
 /// TSS tile-size selection: L1+L2 reuse, associativity-aware, no
 /// prefetch modeling. (The original models are temporal-reuse tilers, so
 /// every kernel runs through the temporal driver, as in the paper's
 /// comparison.)
 pub fn tss(nest: &LoopNest, arch: &Architecture) -> Decision {
-    let mut config = ModelKind::Tss.effective_config(&OptimizerConfig::default());
-    config.model = ModelKind::Tss;
-    let info = NestInfo::analyze(nest);
-    temporal::optimize_with_model(nest, &info, arch, &config, &TssModel).0
+    temporal_under(ModelKind::Tss, nest, arch)
 }
 
 /// TTS/TurboTiling tile-size selection: L2+L3 reuse, prefetch streams
 /// assumed to fill the LLC but not modeled in the miss estimates.
 pub fn tts(nest: &LoopNest, arch: &Architecture) -> Decision {
-    let mut config = ModelKind::Tts.effective_config(&OptimizerConfig::default());
-    config.model = ModelKind::Tts;
-    let shifted = ModelKind::Tts.effective_arch(arch);
+    temporal_under(ModelKind::Tts, nest, arch)
+}
+
+/// The temporal driver under `kind`'s model, effective architecture and
+/// effective configuration ([`resolve`]).
+fn temporal_under(kind: ModelKind, nest: &LoopNest, arch: &Architecture) -> Decision {
+    let r = resolve(&OptimizerConfig { model: kind, ..OptimizerConfig::default() }, arch);
     let info = NestInfo::analyze(nest);
-    temporal::optimize_with_model(nest, &info, &shifted, &config, &TtsModel).0
+    temporal::optimize_with_model(nest, &info, &r.arch, &r.config, r.model.as_ref()).0
 }
 
 #[cfg(test)]

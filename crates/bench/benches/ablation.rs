@@ -12,7 +12,7 @@
 
 use palo_arch::presets;
 use palo_bench::print_table;
-use palo_core::{OptimizerConfig, Pipeline, PipelineConfig};
+use palo_core::{OptimizerConfig, PipelineConfig, Session};
 use palo_suite::kernels;
 
 fn main() {
@@ -49,11 +49,9 @@ fn main() {
         };
         let mut rows = Vec::new();
         for (label, config) in &variants {
-            let pipeline = Pipeline::with_config(
-                &arch,
-                PipelineConfig { optimizer: config.clone(), ..PipelineConfig::default() },
-            );
-            let out = match pipeline.run(&nest) {
+            let config =
+                PipelineConfig { optimizer: config.clone(), ..PipelineConfig::default() };
+            let out = match Session::new(&arch, config).and_then(|s| s.run(&nest)) {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("{bench} / {label}: pipeline failed: {e}");

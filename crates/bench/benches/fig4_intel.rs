@@ -3,31 +3,20 @@
 
 use palo_arch::presets;
 use palo_baselines::Technique;
-use palo_bench::{autotuner_budget_1h, bar, measure_benchmark, print_table};
+use palo_bench::{autotuner_budget_1h, print_table, relative_rows, session, time_grid};
 use palo_suite::Benchmark;
 
 fn main() {
     let budget = autotuner_budget_1h();
+    let techniques = [
+        Technique::Proposed,
+        Technique::ProposedNti,
+        Technique::AutoScheduler,
+        Technique::Baseline,
+        Technique::Autotuner { budget },
+    ];
     for arch in [presets::repro::intel_i7_6700(), presets::repro::intel_i7_5930k()] {
-        let techniques = [
-            Technique::Proposed,
-            Technique::ProposedNti,
-            Technique::AutoScheduler,
-            Technique::Baseline,
-            Technique::Autotuner { budget },
-        ];
-        let mut rows = Vec::new();
-        for b in Benchmark::all() {
-            let times: Vec<f64> =
-                techniques.iter().map(|&t| measure_benchmark(b, t, &arch, 0xC60)).collect();
-            let best = times.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mut row = vec![b.name().to_string()];
-            for ms in &times {
-                let rel = best / ms; // throughput (1/s) relative to fastest
-                row.push(format!("{rel:.2} {}", bar(rel, 10)));
-            }
-            rows.push(row);
-        }
+        let grid = time_grid(&session(&arch), &Benchmark::all(), &techniques, 0xC60);
         print_table(
             &format!(
                 "Figure 4: throughput relative to fastest — {} (autotuner budget {budget})",
@@ -41,7 +30,7 @@ fn main() {
                 "Baseline",
                 "Autotuner",
             ],
-            &rows,
+            &relative_rows(&grid),
         );
     }
 }

@@ -8,7 +8,7 @@
 
 use palo_arch::presets;
 use palo_baselines::Technique;
-use palo_bench::{autotuner_budget_1d, bar, measure_benchmark, print_table};
+use palo_bench::{autotuner_budget_1d, print_table, relative_rows, session, time_grid};
 use palo_suite::Benchmark;
 
 fn main() {
@@ -16,22 +16,14 @@ fn main() {
     let budget = autotuner_budget_1d();
     let benchmarks =
         [Benchmark::Tpm, Benchmark::Convlayer, Benchmark::Matmul, Benchmark::Doitgen];
-    let mut rows = Vec::new();
-    for b in benchmarks {
-        let proposed = measure_benchmark(b, Technique::ProposedNti, &arch, 0);
-        let tuned = measure_benchmark(b, Technique::Autotuner { budget }, &arch, 0xDA1);
-        let best = proposed.min(tuned);
-        rows.push(vec![
-            b.name().to_string(),
-            format!("{:.2} {}", best / proposed, bar(best / proposed, 10)),
-            format!("{:.2} {}", best / tuned, bar(best / tuned, 10)),
-        ]);
-    }
+    let techniques = [Technique::ProposedNti, Technique::Autotuner { budget }];
+    // The seed feeds the autotuner only; the proposed schedule ignores it.
+    let grid = time_grid(&session(&arch), &benchmarks, &techniques, 0xDA1);
     print_table(
         &format!(
             "Figure 5: throughput relative to fastest — autotuner at 'one day' budget ({budget} evals), Intel 5930K"
         ),
         &["Benchmark", "Proposed+NTI", "Autotuner"],
-        &rows,
+        &relative_rows(&grid),
     );
 }

@@ -7,25 +7,21 @@
 
 use palo_arch::presets;
 use palo_baselines::Technique;
-use palo_bench::{bar, measure_benchmark, print_table};
+use palo_bench::{print_table, session, throughput_cell, time_grid};
 use palo_suite::Benchmark;
 
 fn main() {
     let arch = presets::repro::intel_i7_5930k();
     let benchmarks = [Benchmark::Tpm, Benchmark::Tp, Benchmark::Copy, Benchmark::Mask];
-    let mut rows = Vec::new();
-    for b in benchmarks {
-        let proposed = measure_benchmark(b, Technique::Proposed, &arch, 0);
-        let nti = measure_benchmark(b, Technique::ProposedNti, &arch, 0);
-        let autos = measure_benchmark(b, Technique::AutoScheduler, &arch, 0);
-        let rel = |ms: f64| proposed / ms;
-        rows.push(vec![
-            b.name().to_string(),
-            format!("{:.2} {}", rel(proposed), bar(rel(proposed) / 1.6, 10)),
-            format!("{:.2} {}", rel(nti), bar(rel(nti) / 1.6, 10)),
-            format!("{:.2} {}", rel(autos), bar(rel(autos) / 1.6, 10)),
-        ]);
-    }
+    let techniques = [Technique::Proposed, Technique::ProposedNti, Technique::AutoScheduler];
+    let rows: Vec<Vec<String>> = time_grid(&session(&arch), &benchmarks, &techniques, 0)
+        .into_iter()
+        .map(|(b, times)| {
+            // A full bar is 1.6× the Proposed (non-NTI) throughput.
+            let cells = times.iter().map(|ms| throughput_cell(times[0] / ms, 1.6));
+            std::iter::once(b.name().to_string()).chain(cells).collect()
+        })
+        .collect();
     print_table(
         "Figure 6: throughput relative to Proposed (non-NTI), Intel 5930K",
         &["Benchmark", "Proposed", "Proposed+NTI", "Auto-Scheduler"],

@@ -8,29 +8,19 @@
 
 use palo_arch::presets;
 use palo_baselines::Technique;
-use palo_bench::{bar, measure_benchmark, print_table};
+use palo_bench::{print_table, relative_rows, session, time_grid};
 use palo_suite::Benchmark;
 
 fn main() {
     let arch = presets::repro::arm_cortex_a15();
     let techniques = [Technique::Proposed, Technique::AutoScheduler, Technique::Baseline];
-    let mut rows = Vec::new();
-    for b in Benchmark::all() {
-        if matches!(b, Benchmark::Copy | Benchmark::Mask) {
-            continue;
-        }
-        let times: Vec<f64> =
-            techniques.iter().map(|&t| measure_benchmark(b, t, &arch, 0)).collect();
-        let best = times.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mut row = vec![b.name().to_string()];
-        for ms in &times {
-            row.push(format!("{:.2} {}", best / ms, bar(best / ms, 10)));
-        }
-        rows.push(row);
-    }
+    let benchmarks: Vec<Benchmark> = Benchmark::all()
+        .into_iter()
+        .filter(|b| !matches!(b, Benchmark::Copy | Benchmark::Mask))
+        .collect();
     print_table(
         "Figure 7: throughput relative to fastest — ARM Cortex A15",
         &["Benchmark", "Proposed", "Auto-Scheduler", "Baseline"],
-        &rows,
+        &relative_rows(&time_grid(&session(&arch), &benchmarks, &techniques, 0)),
     );
 }

@@ -8,7 +8,7 @@
 
 use palo_arch::presets;
 use palo_baselines::Technique;
-use palo_bench::{measure_benchmark, print_table};
+use palo_bench::{best, print_table, session, time_grid};
 use palo_suite::Benchmark;
 
 const TECHNIQUES: &[Technique] = &[
@@ -19,26 +19,26 @@ const TECHNIQUES: &[Technique] = &[
 ];
 
 fn main() {
-    let archs = [
+    let sessions = [
         presets::repro::intel_i7_6700(),
         presets::repro::intel_i7_5930k(),
         presets::repro::arm_cortex_a15(),
-    ];
+    ]
+    .map(|arch| session(&arch));
     let mut rows = Vec::new();
     for b in Benchmark::all() {
         let mut row = vec![b.name().to_string(), b.scaled_size().to_string()];
-        for arch in &archs {
+        for session in &sessions {
             // ARM lacks vector NT stores; copy/mask are excluded there as
             // in the paper.
-            if arch.name.starts_with("ARM") && matches!(b, Benchmark::Copy | Benchmark::Mask) {
+            if session.arch().name.starts_with("ARM")
+                && matches!(b, Benchmark::Copy | Benchmark::Mask)
+            {
                 row.push("-".into());
                 continue;
             }
-            let best = TECHNIQUES
-                .iter()
-                .map(|&t| measure_benchmark(b, t, arch, 0))
-                .fold(f64::INFINITY, f64::min);
-            row.push(format!("{best:.2}"));
+            let (_, times) = &time_grid(session, &[b], TECHNIQUES, 0)[0];
+            row.push(format!("{:.2}", best(times)));
         }
         rows.push(row);
     }

@@ -8,11 +8,11 @@
 
 use palo_arch::presets;
 use palo_baselines::Technique;
-use palo_bench::{measure_technique, print_table, quick};
+use palo_bench::{measure_technique, print_table, quick, session};
 use palo_suite::Benchmark;
 
 fn main() {
-    let arch = presets::repro::intel_i7_5930k();
+    let session = session(&presets::repro::intel_i7_5930k());
     let sizes: &[usize] = if quick() { &[128, 256] } else { &[128, 256, 320, 512] };
     let benchmarks = [Benchmark::Matmul, Benchmark::Trmm, Benchmark::Syrk, Benchmark::Syr2k];
     let techniques = [Technique::Tts, Technique::Tss, Technique::Proposed];
@@ -23,7 +23,7 @@ fn main() {
             let nests = b.build(size).expect("suite kernels build");
             let mut row = vec![b.name().to_string()];
             for &t in &techniques {
-                let ms = measure_technique(&nests, t, &arch, 0);
+                let ms = measure_technique(&session, &nests, t, 0);
                 row.push(format!("{ms:.2}"));
             }
             rows.push(row);

@@ -2,35 +2,48 @@
 //!
 //! Every bench target in this crate regenerates one table or figure of
 //! the paper (DESIGN.md §4) on the simulator substrate. The helpers here
-//! measure a technique on a benchmark, format tables, and read the
-//! `PALO_QUICK` environment variable that trades fidelity for runtime.
+//! open one [`Session`] per platform, measure techniques on benchmarks
+//! over it, format tables, and read the `PALO_QUICK` environment variable
+//! that trades fidelity for runtime.
 
 use palo_arch::Architecture;
 use palo_baselines::{schedule_for, Technique};
-use palo_core::Pipeline;
+use palo_core::{PipelineConfig, Session};
 use palo_ir::LoopNest;
 use palo_suite::Benchmark;
 
-/// Estimated execution time (ms) of `technique` on a multi-stage
-/// benchmark: stages are scheduled independently and their times summed,
-/// as the paper's per-function Halide tool does.
+/// A default-configured [`Session`] for `arch`: a generator opens one per
+/// platform and measures every cell on it, so cells that repeat a
+/// simulation (Proposed and Proposed+NTI on the temporal kernels, `3mm`'s
+/// stages after `matmul`) replay it from the artifact cache.
 ///
-/// Each stage runs through the fault-tolerant [`Pipeline`]: a schedule
-/// that fails to lower degrades to a fallback rung (reported on stderr)
+/// # Panics
+///
+/// When `arch` fails validation; the generators run the presets only.
+pub fn session(arch: &Architecture) -> Session {
+    Session::new(arch, PipelineConfig::default())
+        .unwrap_or_else(|e| panic!("palo-bench: {}: {e}", arch.name))
+}
+
+/// Estimated execution time (ms) of `technique` on a multi-stage
+/// benchmark, on `session`'s platform: stages are scheduled independently
+/// and their times summed, as the paper's per-function Halide tool does.
+///
+/// Each stage runs through [`Session::run_schedule`]: a schedule that
+/// fails to lower degrades to a fallback rung (reported on stderr)
 /// instead of aborting the whole table, and a stage with no measurable
 /// schedule at all contributes `f64::INFINITY`.
 pub fn measure_technique(
+    session: &Session,
     nests: &[LoopNest],
     technique: Technique,
-    arch: &Architecture,
     seed: u64,
 ) -> f64 {
-    let pipeline = Pipeline::new(arch);
     nests
         .iter()
         .map(|nest| {
-            let sched = schedule_for(technique, nest, arch, seed);
-            match pipeline.run_schedule(nest, &sched) {
+            let sched = schedule_for(technique, nest, session.arch(), seed);
+            match session.run_schedule(nest, &sched) {
                 Ok(out) => {
                     if out.report.fallback_fired() {
                         eprintln!(
@@ -58,18 +71,57 @@ pub fn measure_technique(
 /// Measures a benchmark at its scaled size; an unbuildable benchmark is
 /// reported on stderr and measured as `f64::INFINITY`.
 pub fn measure_benchmark(
+    session: &Session,
     benchmark: Benchmark,
     technique: Technique,
-    arch: &Architecture,
     seed: u64,
 ) -> f64 {
     match benchmark.build_scaled() {
-        Ok(nests) => measure_technique(&nests, technique, arch, seed),
+        Ok(nests) => measure_technique(session, &nests, technique, seed),
         Err(e) => {
             eprintln!("palo-bench: benchmark failed to build: {e}");
             f64::INFINITY
         }
     }
+}
+
+/// The time grid of a figure: for each benchmark, the time (ms) of
+/// every technique, in `techniques` order.
+pub fn time_grid(
+    session: &Session,
+    benchmarks: &[Benchmark],
+    techniques: &[Technique],
+    seed: u64,
+) -> Vec<(Benchmark, Vec<f64>)> {
+    benchmarks
+        .iter()
+        .map(|&b| {
+            (b, techniques.iter().map(|&t| measure_benchmark(session, b, t, seed)).collect())
+        })
+        .collect()
+}
+
+/// The fastest of `times`.
+pub fn best(times: &[f64]) -> f64 {
+    times.iter().cloned().fold(f64::INFINITY, f64::min)
+}
+
+/// A figure cell: throughput `rel` to two decimals and a 10-wide
+/// [`bar`] of `rel / full` (so `full` is the throughput of a full bar).
+pub fn throughput_cell(rel: f64, full: f64) -> String {
+    format!("{rel:.2} {}", bar(rel / full, 10))
+}
+
+/// Figure rows: each benchmark's name, then each technique's throughput
+/// relative to the benchmark's fastest technique ([`throughput_cell`]).
+pub fn relative_rows(grid: &[(Benchmark, Vec<f64>)]) -> Vec<Vec<String>> {
+    grid.iter()
+        .map(|(b, times)| {
+            let fastest = best(times);
+            let cells = times.iter().map(|ms| throughput_cell(fastest / ms, 1.0));
+            std::iter::once(b.name().to_string()).chain(cells).collect()
+        })
+        .collect()
 }
 
 /// Whether the `PALO_QUICK` environment variable asks for reduced
@@ -136,12 +188,43 @@ mod tests {
     #[test]
     fn measure_copy_is_positive() {
         let ms = measure_benchmark(
+            &session(&presets::intel_i7_6700()),
             Benchmark::Copy,
             Technique::Baseline,
-            &presets::intel_i7_6700(),
             0,
         );
         assert!(ms > 0.0);
+    }
+
+    #[test]
+    fn proposed_nti_replays_proposed_on_a_temporal_kernel() {
+        // matmul accumulates, so NTI never fires and both techniques
+        // schedule it alike: the second cell is a pure cache replay.
+        let session = session(&presets::repro::intel_i7_5930k());
+        let nests = Benchmark::Matmul.build(128).unwrap();
+        let proposed = measure_technique(&session, &nests, Technique::Proposed, 0);
+        let before = session.cache_stats();
+        let nti = measure_technique(&session, &nests, Technique::ProposedNti, 0);
+        let delta = session.cache_stats().since(&before);
+        assert_eq!(proposed.to_bits(), nti.to_bits());
+        assert!(proposed.is_finite());
+        assert_eq!(delta.misses, 0, "simulate and every other pass must hit: {delta:?}");
+        assert!(delta.hits > 0);
+    }
+
+    #[test]
+    fn relative_rows_put_the_fastest_at_one() {
+        let grid = vec![(Benchmark::Tp, vec![2.0, 1.0, f64::INFINITY])];
+        assert_eq!(
+            relative_rows(&grid),
+            vec![vec![
+                "tp".to_string(),
+                "0.50 #####.....".to_string(),
+                "1.00 ##########".to_string(),
+                "0.00 ..........".to_string(),
+            ]]
+        );
+        assert_eq!(throughput_cell(0.8, 1.6), "0.80 #####.....");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every fallible stage — IR construction, schedule lowering, trace and
 //! compute execution, cache-simulator configuration, the optimizer itself
 //! — reports through [`PaloError`], so callers of
-//! [`Pipeline::run`](crate::Pipeline::run) handle one type instead of a
+//! [`Session::run`](crate::Session::run) handle one type instead of a
 //! zoo of per-crate errors.
 
 use palo_cachesim::SimConfigError;

@@ -29,10 +29,12 @@
 //!
 //! The entry point is [`Optimizer`], which produces a [`Decision`]
 //! containing the chosen [`palo_sched::Schedule`]. For end-to-end use,
-//! [`Pipeline`] wraps the optimizer in a fault-tolerant
-//! optimize → lower → validate → simulate flow with a degradation ladder
-//! ([`Rung`]), resource guards ([`ResourceBudget`]) and fault injection
-//! ([`FaultPlan`]); every failure is reported through [`PaloError`].
+//! [`Session`] is the one entry point: it runs the optimizer in a
+//! fault-tolerant optimize → lower → validate → simulate flow with a
+//! degradation ladder ([`Rung`]), resource guards ([`ResourceBudget`])
+//! and fault injection ([`FaultPlan`]), and shares a content-addressed
+//! artifact cache across its runs; every failure is reported through
+//! [`PaloError`].
 //!
 //! # Examples
 //!
@@ -95,8 +97,8 @@ pub use model::{
 };
 pub use pass::{CacheStats, Pass, PassCx, PassTiming, RunCtl};
 pub use pipeline::{
-    FaultPlan, ParseRungError, Pipeline, PipelineConfig, PipelineOutcome, PipelineReport,
-    ResourceBudget, RunOverrides, Rung, RungFailure,
+    FaultPlan, ParseRungError, PipelineConfig, PipelineOutcome, PipelineReport, ResourceBudget,
+    RunOverrides, Rung, RungFailure,
 };
 pub use search::{SearchCounters, SearchStats};
 pub use session::{PendingWrites, Session};

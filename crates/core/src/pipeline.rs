@@ -1,9 +1,9 @@
-//! The fault-tolerant optimization pipeline (facade).
+//! The vocabulary of the fault-tolerant optimization flow.
 //!
-//! [`Pipeline`] runs the full optimize → lower → validate → simulate flow
-//! as a *guarded* computation: every stage reports through
-//! [`PaloError`](crate::PaloError) instead of panicking, and when the
-//! proposed schedule cannot be used the pipeline walks a **degradation
+//! [`Session`](crate::Session) runs the full optimize → lower → validate
+//! → simulate flow as a *guarded* computation: every stage reports
+//! through [`PaloError`](crate::PaloError) instead of panicking, and when
+//! the proposed schedule cannot be used the run walks a **degradation
 //! ladder** instead of failing outright:
 //!
 //! 1. [`Rung::Proposed`] — the optimizer's (or caller's) schedule;
@@ -15,19 +15,14 @@
 //! 4. [`Rung::Naive`] — the empty schedule, i.e. the program-order nest,
 //!    which every valid nest can lower.
 //!
-//! The achieved rung and every failure encountered on the way down are
-//! recorded in the [`PipelineReport`], so degradation is observable, not
-//! silent. Resource guards ([`ResourceBudget`]) bound the cache
-//! simulation in both trace lines and wall-clock time, and a
-//! [`FaultPlan`] can inject failures at each guarded site to exercise the
-//! ladder in tests.
-//!
-//! Since the pass-framework refactor the stages live in [`crate::pass`]
-//! and the execution engine is [`Session`](crate::Session): `Pipeline`
-//! is a thin facade that opens a fresh single-use session per call. Use
-//! a [`Session`](crate::Session) directly (or its
-//! [`BatchDriver`](crate::BatchDriver)) to reuse the content-addressed
-//! artifact cache across runs.
+//! This module holds the types of that flow: its configuration
+//! ([`PipelineConfig`], [`RunOverrides`]), the achieved rung and every
+//! failure encountered on the way down ([`PipelineReport`]), so
+//! degradation is observable, not silent. Resource guards
+//! ([`ResourceBudget`]) bound the cache simulation in both trace lines and
+//! wall-clock time, and a [`FaultPlan`] can inject failures at each
+//! guarded site to exercise the ladder in tests. The stages themselves
+//! live in [`crate::pass`].
 
 use crate::config::ModelKind;
 use crate::decision::Decision;
@@ -35,12 +30,9 @@ use crate::error::PaloError;
 use crate::model::CostBreakdown;
 use crate::pass::{CacheStats, PassTiming};
 use crate::search::SearchStats;
-use crate::session::Session;
 use crate::store::CacheConfig;
 use crate::OptimizerConfig;
-use palo_arch::Architecture;
 use palo_exec::TimeEstimate;
-use palo_ir::LoopNest;
 use palo_sched::{LoweredNest, Schedule};
 use std::time::Duration;
 
@@ -127,7 +119,7 @@ pub struct ResourceBudget {
     /// Maximum cache-line accesses the trace simulation may issue before
     /// aborting with [`PaloError::BudgetExceeded`] (`None` = unlimited).
     pub max_trace_lines: Option<u64>,
-    /// Wall-clock budget for one whole [`Pipeline::run`] call; the
+    /// Wall-clock budget for one whole [`Session::run`](crate::Session::run) call; the
     /// remainder at simulation time bounds the trace walk
     /// (`None` = unlimited).
     pub deadline: Option<Duration>,
@@ -210,7 +202,7 @@ impl RunOverrides {
     }
 }
 
-/// Configuration of a [`Pipeline`] (and of a [`Session`](crate::Session)).
+/// Configuration of a [`Session`](crate::Session).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Switches forwarded to the [`Optimizer`](crate::Optimizer).
@@ -267,7 +259,7 @@ pub struct PipelineReport {
     pub estimate: Option<TimeEstimate>,
     /// What the optimizer's candidate search did (workers, candidates
     /// evaluated/pruned, memo hit rates, wall time); `None` when the
-    /// optimizer stage was skipped ([`Pipeline::run_schedule`]) or
+    /// optimizer stage was skipped ([`Session::run_schedule`](crate::Session::run_schedule)) or
     /// failed. A cache-served optimize artifact replays the *producing*
     /// search's stats.
     pub search: Option<SearchStats>,
@@ -278,8 +270,7 @@ pub struct PipelineReport {
     /// model; `None` when the optimizer stage was skipped or failed.
     pub breakdown: Option<CostBreakdown>,
     /// Artifact-cache counter movement of this run (all misses/bypasses
-    /// on a fresh [`Pipeline`] facade; hits when a warm
-    /// [`Session`](crate::Session) replayed artifacts).
+    /// on a fresh [`Session`](crate::Session); hits when a warm one replayed artifacts).
     pub cache: CacheStats,
     /// Per-pass wall-clock breakdown of this run, one entry per pass
     /// request in execution order (cache hits included, flagged).
@@ -317,7 +308,7 @@ impl PipelineReport {
 pub struct PipelineOutcome {
     /// The optimizer's decision; `None` when the optimizer itself failed
     /// or when the caller supplied the schedule via
-    /// [`Pipeline::run_schedule`].
+    /// [`Session::run_schedule`](crate::Session::run_schedule).
     pub decision: Option<Decision>,
     /// The accepted schedule (of the reported rung).
     pub schedule: Schedule,
@@ -327,160 +318,9 @@ pub struct PipelineOutcome {
     pub report: PipelineReport,
 }
 
-/// The guarded optimize → lower → validate → simulate flow.
-///
-/// Each call opens a fresh single-use [`Session`](crate::Session); hold
-/// a session yourself to share its artifact cache across runs.
-///
-/// # Examples
-///
-/// ```
-/// use palo_arch::presets;
-/// use palo_core::{Pipeline, Rung};
-/// use palo_ir::{DType, NestBuilder};
-///
-/// let mut b = NestBuilder::new("copy", DType::F32);
-/// let i = b.var("i", 64);
-/// let j = b.var("j", 64);
-/// let src = b.array("src", &[64, 64]);
-/// let dst = b.array("dst", &[64, 64]);
-/// let ld = b.load(src, &[i, j]);
-/// b.store(dst, &[i, j], ld);
-/// let nest = b.build()?;
-///
-/// let out = Pipeline::new(&presets::intel_i7_6700()).run(&nest)?;
-/// assert_eq!(out.report.rung, Rung::Proposed);
-/// assert!(out.report.estimate.is_some());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    arch: Architecture,
-    config: PipelineConfig,
-}
-
-impl Pipeline {
-    /// A pipeline for `arch` with default configuration.
-    pub fn new(arch: &Architecture) -> Self {
-        Pipeline { arch: arch.clone(), config: PipelineConfig::default() }
-    }
-
-    /// A pipeline with an explicit configuration.
-    pub fn with_config(arch: &Architecture, config: PipelineConfig) -> Self {
-        Pipeline { arch: arch.clone(), config }
-    }
-
-    /// The target architecture.
-    pub fn arch(&self) -> &Architecture {
-        &self.arch
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Runs the optimizer on `nest` and executes the degradation ladder.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the nest cannot be processed at all:
-    /// the architecture fails validation, the cache simulator rejects it,
-    /// or every ladder rung — including the program-order nest — fails.
-    /// An optimizer failure alone is *not* an error: the pipeline
-    /// degrades and records the failure in the report.
-    pub fn run(&self, nest: &LoopNest) -> Result<PipelineOutcome, PaloError> {
-        Session::new(&self.arch, self.config.clone())?.run(nest)
-    }
-
-    /// Executes the degradation ladder for a caller-supplied schedule
-    /// (skipping the optimizer stage).
-    ///
-    /// The schedule may be arbitrary — even illegal for `nest`; an
-    /// illegal schedule simply fails its rung and the ladder continues.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run`].
-    pub fn run_schedule(
-        &self,
-        nest: &LoopNest,
-        proposed: &Schedule,
-    ) -> Result<PipelineOutcome, PaloError> {
-        Session::new(&self.arch, self.config.clone())?.run_schedule(nest, proposed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palo_arch::presets;
-    use palo_ir::{DType, NestBuilder};
-
-    fn matmul(n: usize) -> LoopNest {
-        let mut b = NestBuilder::new("matmul", DType::F32);
-        let i = b.var("i", n);
-        let j = b.var("j", n);
-        let k = b.var("k", n);
-        let a = b.array("A", &[n, n]);
-        let bm = b.array("B", &[n, n]);
-        let c = b.array("C", &[n, n]);
-        b.accumulate(c, &[i, j], b.load(a, &[i, k]) * b.load(bm, &[k, j]));
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn clean_run_uses_proposed_schedule() {
-        let out = Pipeline::new(&presets::intel_i7_6700()).run(&matmul(16)).unwrap();
-        assert_eq!(out.report.rung, Rung::Proposed);
-        assert!(!out.report.fallback_fired());
-        assert!(out.report.failures.is_empty());
-        assert!(out.decision.is_some());
-        assert!(out.report.estimate.is_some());
-        let stats = out.report.search.as_ref().unwrap();
-        assert!(stats.workers >= 1);
-        assert!(stats.candidates_evaluated > 0);
-        // The scoring model and its per-term breakdown are surfaced next
-        // to the search stats.
-        assert_eq!(out.report.model, ModelKind::Paper);
-        let bd = out.report.breakdown.as_ref().unwrap();
-        assert_eq!(bd.total, out.decision.as_ref().unwrap().predicted_cost);
-        // A single-use facade session starts cold: misses only.
-        assert_eq!(out.report.cache.hits, 0);
-        assert!(out.report.cache.misses > 0);
-    }
-
-    #[test]
-    fn run_schedule_has_no_search_stats() {
-        let nest = matmul(8);
-        let out = Pipeline::new(&presets::intel_i7_6700())
-            .run_schedule(&nest, &Schedule::new())
-            .unwrap();
-        assert!(out.report.search.is_none());
-        assert!(out.report.breakdown.is_none());
-    }
-
-    #[test]
-    fn run_schedule_accepts_illegal_schedule_by_degrading() {
-        let nest = matmul(8);
-        let mut bad = Schedule::new();
-        bad.reorder(&["nonexistent"]); // fails to lower
-        let out = Pipeline::new(&presets::intel_i7_6700()).run_schedule(&nest, &bad).unwrap();
-        assert!(out.report.fallback_fired());
-        assert!(out
-            .report
-            .failures
-            .iter()
-            .any(|f| f.rung == Rung::Proposed && matches!(f.error, PaloError::Sched(_))));
-    }
-
-    #[test]
-    fn invalid_architecture_is_a_hard_error() {
-        let mut arch = presets::intel_i7_6700();
-        arch.caches.truncate(1);
-        let err = Pipeline::new(&arch).run(&matmul(4)).unwrap_err();
-        assert!(matches!(err, PaloError::Arch(_)));
-    }
 
     #[test]
     fn report_rung_display_names() {

@@ -11,9 +11,12 @@
 //!   (DESIGN.md §12), shared by every run and every
 //!   [`BatchDriver`](crate::BatchDriver) worker.
 //!
-//! [`Session::run`] reproduces the monolithic pipeline's semantics
-//! exactly — same degradation ladder, same resource guards, same fault
-//! injection, same report — but each stage goes through
+//! A session is the one way to run the optimize → lower → validate →
+//! simulate flow: [`Session::run`] for the optimizer's schedule,
+//! [`Session::run_schedule`] for a caller's, both through the degradation
+//! ladder ([`Rung`]), the resource guards
+//! ([`ResourceBudget`](crate::ResourceBudget)) and fault injection
+//! ([`FaultPlan`](crate::FaultPlan)). Each stage goes through
 //! [`Session::execute`], which consults the cache first. Re-running a
 //! nest the session has seen replays the cached artifacts: bit-identical
 //! decisions, rungs and estimates, without re-searching. So does a nest
@@ -198,7 +201,7 @@ impl Session {
     }
 
     /// Runs the optimizer on `nest` and executes the degradation ladder
-    /// — the pass-graph equivalent of the monolithic pipeline's `run`.
+    /// ([`Rung`]): optimize → lower → validate → simulate.
     ///
     /// # Errors
     ///
@@ -265,7 +268,8 @@ impl Session {
     }
 
     /// Executes the degradation ladder for a caller-supplied schedule
-    /// (skipping the optimizer stage).
+    /// (skipping the optimizer stage). Persists before it returns, like
+    /// [`Session::run_with`].
     ///
     /// The schedule may be arbitrary — even illegal for `nest`; an
     /// illegal schedule simply fails its rung and the ladder continues.
@@ -278,23 +282,8 @@ impl Session {
         nest: &LoopNest,
         proposed: &Schedule,
     ) -> Result<PipelineOutcome, PaloError> {
-        self.run_schedule_with(nest, proposed, &RunOverrides::default())
-    }
-
-    /// [`Session::run_schedule`] with per-request overrides (see
-    /// [`Session::run_with`]; persists before it returns, like it).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Session::run`].
-    pub fn run_schedule_with(
-        &self,
-        nest: &LoopNest,
-        proposed: &Schedule,
-        overrides: &RunOverrides,
-    ) -> Result<PipelineOutcome, PaloError> {
         self.persisted(|| {
-            let run = self.pending(overrides);
+            let run = self.pending(&RunOverrides::default());
             let out =
                 self.finish(nest, None, Some(proposed.clone()), None, Vec::new(), &run.ctl);
             (out, run)
@@ -486,6 +475,16 @@ mod tests {
         let session =
             Session::new(&presets::intel_i7_6700(), PipelineConfig::default()).unwrap();
         let cold = session.run(&matmul(16)).unwrap();
+        assert_eq!(cold.report.rung, Rung::Proposed);
+        assert!(cold.report.failures.is_empty());
+        let stats = cold.report.search.as_ref().unwrap();
+        assert!(stats.workers >= 1);
+        assert!(stats.candidates_evaluated > 0);
+        // The scoring model and its per-term breakdown are surfaced next
+        // to the search stats.
+        assert_eq!(cold.report.model, crate::ModelKind::Paper);
+        let bd = cold.report.breakdown.as_ref().unwrap();
+        assert_eq!(bd.total, cold.decision.as_ref().unwrap().predicted_cost);
         assert_eq!(cold.report.cache.hits, 0);
         assert!(cold.report.cache.misses > 0);
 
@@ -503,6 +502,34 @@ mod tests {
             cold.report.estimate.as_ref().map(|e| e.ms.to_bits()),
             warm.report.estimate.as_ref().map(|e| e.ms.to_bits()),
         );
+    }
+
+    #[test]
+    fn run_schedule_skips_the_optimizer_and_degrades_an_illegal_schedule() {
+        let session =
+            Session::new(&presets::intel_i7_6700(), PipelineConfig::default()).unwrap();
+        let out = session.run_schedule(&matmul(8), &Schedule::new()).unwrap();
+        assert!(out.decision.is_none());
+        assert!(out.report.search.is_none());
+        assert!(out.report.breakdown.is_none());
+
+        let mut bad = Schedule::new();
+        bad.reorder(&["nonexistent"]); // fails to lower
+        let out = session.run_schedule(&matmul(8), &bad).unwrap();
+        assert!(out.report.fallback_fired());
+        assert!(out
+            .report
+            .failures
+            .iter()
+            .any(|f| f.rung == Rung::Proposed && matches!(f.error, PaloError::Sched(_))));
+    }
+
+    #[test]
+    fn invalid_architecture_is_a_session_error() {
+        let mut arch = presets::intel_i7_6700();
+        arch.caches.truncate(1);
+        let err = Session::new(&arch, PipelineConfig::default()).unwrap_err();
+        assert!(matches!(err, PaloError::Arch(_)));
     }
 
     #[test]

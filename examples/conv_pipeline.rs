@@ -6,14 +6,14 @@
 //! Run with: `cargo run --release --example conv_pipeline`
 
 use palo::arch::presets;
-use palo::core::{Optimizer, Pipeline};
+use palo::core::{Optimizer, PipelineConfig, Session};
 use palo::exec::{run, run_reference, Buffers};
 use palo::suite::kernels;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = presets::repro::intel_i7_6700();
     let opt = Optimizer::new(&arch);
-    let pipeline = Pipeline::new(&arch);
+    let session = Session::new(&arch, PipelineConfig::default())?;
 
     // Small instances so the functional check is instant; the estimate
     // afterwards uses the real scaled sizes.
@@ -45,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("functional check: OK (bit-exact vs. reference)");
 
         // Performance estimate at the full scaled size, through the
-        // guarded pipeline (degrades instead of failing).
-        let out = pipeline.run_schedule(&full, decision.schedule())?;
+        // guarded session (degrades instead of failing).
+        let out = session.run_schedule(&full, decision.schedule())?;
         if out.report.fallback_fired() {
             println!("note: fell back to the {} schedule", out.report.rung);
         }

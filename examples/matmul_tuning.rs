@@ -5,7 +5,7 @@
 
 use palo::arch::presets;
 use palo::baselines::{schedule_for, Technique};
-use palo::core::Pipeline;
+use palo::core::{PipelineConfig, Session};
 use palo::suite::kernels;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,11 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for arch in [presets::repro::intel_i7_5930k(), presets::repro::arm_cortex_a15()] {
         println!("\n=== {} ===", arch.name);
-        let pipeline = Pipeline::new(&arch);
+        let session = Session::new(&arch, PipelineConfig::default())?;
         let mut results = Vec::new();
         for t in techniques {
             let sched = schedule_for(t, &nest, &arch, 42);
-            let out = pipeline.run_schedule(&nest, &sched)?;
+            let out = session.run_schedule(&nest, &sched)?;
             if out.report.fallback_fired() {
                 println!("{:>15}: fell back to the {} schedule", t.label(), out.report.rung);
             }

@@ -1,11 +1,11 @@
-//! Quickstart: describe a loop nest, run it through the fault-tolerant
-//! pipeline, and compare the result against the naive schedule on the
+//! Quickstart: describe a loop nest, run it through a fault-tolerant
+//! session, and compare the result against the naive schedule on the
 //! simulator.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use palo::arch::presets;
-use palo::core::Pipeline;
+use palo::core::{PipelineConfig, Session};
 use palo::ir::{DType, NestBuilder};
 use palo::sched::Schedule;
 
@@ -24,13 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nest = b.build()?;
     println!("Algorithm:\n{nest}");
 
-    // 2. Pick a target platform (Table 3 presets) and run the pipeline:
+    // 2. Pick a target platform (Table 3 presets) and run the session:
     //    optimize -> lower -> validate -> simulate. If any stage of the
-    //    proposed schedule fails, the pipeline degrades through stripped
+    //    proposed schedule fails, the run degrades through stripped
     //    -> baseline -> naive instead of erroring out.
     let arch = presets::repro::intel_i7_5930k();
-    let pipeline = Pipeline::new(&arch);
-    let out = pipeline.run(&nest)?;
+    let session = Session::new(&arch, PipelineConfig::default())?;
+    let out = session.run(&nest)?;
     if let Some(decision) = &out.decision {
         println!("Classification: {:?}", decision.class);
         println!("Tile sizes:     {:?}", decision.tile);
@@ -42,11 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 3. Inspect the concrete loop structure the pipeline lowered.
+    // 3. Inspect the concrete loop structure the session lowered.
     println!("\nLowered nest:\n{}", out.lowered);
 
-    // 4. Compare against the naive program order (also via the pipeline).
-    let naive = pipeline.run_schedule(&nest, &Schedule::new())?;
+    // 4. Compare against the naive program order (on the same session).
+    let naive = session.run_schedule(&nest, &Schedule::new())?;
     let (t_opt, t_naive) = match (&out.report.estimate, &naive.report.estimate) {
         (Some(o), Some(n)) => (o, n),
         _ => return Err("simulation produced no estimate".into()),

@@ -42,16 +42,18 @@
 //! ```
 //!
 //! Or run the whole fault-tolerant flow — optimize, lower, validate,
-//! simulate — through [`core::Pipeline`], which degrades to simpler
-//! schedules instead of failing and reports what happened:
+//! simulate — on a [`core::Session`], which degrades to simpler
+//! schedules instead of failing, reports what happened, and replays
+//! repeated work from its artifact cache:
 //!
 //! ```
 //! use palo::arch::presets;
-//! use palo::core::{Pipeline, Rung};
+//! use palo::core::{PipelineConfig, Rung, Session};
 //! use palo::suite::kernels;
 //!
 //! let nest = kernels::matmul(96)?;
-//! let out = Pipeline::new(&presets::intel_i7_5930k()).run(&nest)?;
+//! let session = Session::new(&presets::intel_i7_5930k(), PipelineConfig::default())?;
+//! let out = session.run(&nest)?;
 //! assert_eq!(out.report.rung, Rung::Proposed); // no degradation needed
 //! assert!(out.report.estimate.is_some());
 //! # Ok::<(), Box<dyn std::error::Error>>(())

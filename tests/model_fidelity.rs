@@ -35,7 +35,6 @@
 //! --ignored`.
 
 use palo::arch::{presets, Architecture};
-use palo::baselines::{TssModel, TtsModel};
 use palo::core::{
     classify, post, CandidatePoint, Class, CostModel, Footprints, ModelKind, OptimizerConfig,
     PrefetchAwareModel, SearchCounters, SimulatedModel, TileContext,
@@ -226,8 +225,8 @@ fn analytical_models_rank_candidates_like_the_simulator() {
             );
             let analytical: [(&str, ModelKind, &dyn CostModel); 3] = [
                 ("paper", ModelKind::Paper, &PrefetchAwareModel::paper()),
-                ("tss", ModelKind::Tss, &TssModel),
-                ("tts", ModelKind::Tts, &TtsModel),
+                ("tss", ModelKind::Tss, &PrefetchAwareModel::named("tss")),
+                ("tts", ModelKind::Tts, &PrefetchAwareModel::named("tts")),
             ];
             for (mname, kind, model) in analytical {
                 let rho = spearman(&score_points(&s, arch, kind, model), &truth);

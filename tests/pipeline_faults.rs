@@ -1,9 +1,9 @@
-//! Fault-injection tests: every rung of the pipeline's degradation
+//! Fault-injection tests: every rung of the session's degradation
 //! ladder must be reachable, every guard must fire, and every failure
 //! must be observable in the report.
 
 use palo::arch::presets;
-use palo::core::{FaultPlan, PaloError, Pipeline, PipelineConfig, ResourceBudget, Rung};
+use palo::core::{FaultPlan, PaloError, PipelineConfig, ResourceBudget, Rung, Session};
 use palo::exec::run_reference;
 use palo::ir::{DType, LoopNest, NestBuilder};
 use std::time::Duration;
@@ -23,16 +23,17 @@ fn matmul(n: usize) -> LoopNest {
     b.build().unwrap()
 }
 
-fn pipeline_with_faults(faults: FaultPlan) -> Pipeline {
-    Pipeline::with_config(
-        &presets::repro::intel_i7_6700(),
-        PipelineConfig { faults, ..PipelineConfig::default() },
-    )
+fn session(config: PipelineConfig) -> Session {
+    Session::new(&presets::repro::intel_i7_6700(), config).unwrap()
+}
+
+fn session_with_faults(faults: FaultPlan) -> Session {
+    session(PipelineConfig { faults, ..PipelineConfig::default() })
 }
 
 #[test]
 fn no_faults_reaches_proposed() {
-    let out = pipeline_with_faults(FaultPlan::default()).run(&matmul(12)).unwrap();
+    let out = session_with_faults(FaultPlan::default()).run(&matmul(12)).unwrap();
     assert_eq!(out.report.rung, Rung::Proposed);
     assert!(out.report.failures.is_empty());
     assert!(!out.report.fallback_fired());
@@ -41,7 +42,7 @@ fn no_faults_reaches_proposed() {
 #[test]
 fn one_lowering_fault_degrades_to_stripped() {
     let faults = FaultPlan { fail_first_lowerings: 1, ..FaultPlan::default() };
-    let out = pipeline_with_faults(faults).run(&matmul(12)).unwrap();
+    let out = session_with_faults(faults).run(&matmul(12)).unwrap();
     assert_eq!(out.report.rung, Rung::Stripped);
     assert_eq!(out.report.failures.len(), 1);
     assert_eq!(out.report.failures[0].rung, Rung::Proposed);
@@ -55,7 +56,7 @@ fn one_lowering_fault_degrades_to_stripped() {
 #[test]
 fn two_lowering_faults_degrade_to_baseline() {
     let faults = FaultPlan { fail_first_lowerings: 2, ..FaultPlan::default() };
-    let out = pipeline_with_faults(faults).run(&matmul(12)).unwrap();
+    let out = session_with_faults(faults).run(&matmul(12)).unwrap();
     assert_eq!(out.report.rung, Rung::Baseline);
     let rungs: Vec<Rung> = out.report.failures.iter().map(|f| f.rung).collect();
     assert_eq!(rungs, vec![Rung::Proposed, Rung::Stripped]);
@@ -64,7 +65,7 @@ fn two_lowering_faults_degrade_to_baseline() {
 #[test]
 fn three_lowering_faults_degrade_to_naive() {
     let faults = FaultPlan { fail_first_lowerings: 3, ..FaultPlan::default() };
-    let out = pipeline_with_faults(faults).run(&matmul(12)).unwrap();
+    let out = session_with_faults(faults).run(&matmul(12)).unwrap();
     assert_eq!(out.report.rung, Rung::Naive);
     assert_eq!(out.report.failures.len(), 3);
     // The naive rung lowers the program-order nest.
@@ -74,14 +75,14 @@ fn three_lowering_faults_degrade_to_naive() {
 #[test]
 fn exhausted_ladder_is_an_error() {
     let faults = FaultPlan { fail_first_lowerings: 4, ..FaultPlan::default() };
-    let err = pipeline_with_faults(faults).run(&matmul(12)).unwrap_err();
+    let err = session_with_faults(faults).run(&matmul(12)).unwrap_err();
     assert_eq!(err, PaloError::FaultInjected { site: "lowering" });
 }
 
 #[test]
 fn optimizer_panic_is_caught_and_degrades_to_baseline() {
     let faults = FaultPlan { panic_in_optimizer: true, ..FaultPlan::default() };
-    let out = pipeline_with_faults(faults).run(&matmul(12)).unwrap();
+    let out = session_with_faults(faults).run(&matmul(12)).unwrap();
     // No proposed schedule exists, so the ladder starts at baseline.
     assert_eq!(out.report.rung, Rung::Baseline);
     assert!(out.decision.is_none());
@@ -95,7 +96,7 @@ fn optimizer_panic_is_caught_and_degrades_to_baseline() {
 #[test]
 fn trace_overflow_fault_records_budget_failure_without_changing_rung() {
     let faults = FaultPlan { trace_overflow: true, ..FaultPlan::default() };
-    let out = pipeline_with_faults(faults).run(&matmul(12)).unwrap();
+    let out = session_with_faults(faults).run(&matmul(12)).unwrap();
     assert_eq!(out.report.rung, Rung::Proposed, "simulation failures must not demote the rung");
     assert!(out.report.estimate.is_none());
     assert!(out
@@ -111,9 +112,7 @@ fn trace_line_budget_guard_fires() {
         budget: ResourceBudget { max_trace_lines: Some(10), deadline: None },
         ..PipelineConfig::default()
     };
-    let out = Pipeline::with_config(&presets::repro::intel_i7_6700(), config)
-        .run(&matmul(64))
-        .unwrap();
+    let out = session(config).run(&matmul(64)).unwrap();
     assert!(out.report.estimate.is_none());
     assert!(out
         .report
@@ -128,9 +127,7 @@ fn zero_deadline_guard_fires() {
         budget: ResourceBudget { max_trace_lines: None, deadline: Some(Duration::ZERO) },
         ..PipelineConfig::default()
     };
-    let out = Pipeline::with_config(&presets::repro::intel_i7_6700(), config)
-        .run(&matmul(64))
-        .unwrap();
+    let out = session(config).run(&matmul(64)).unwrap();
     assert!(out.report.estimate.is_none());
     assert!(out
         .report
@@ -148,10 +145,9 @@ fn generous_budgets_change_nothing() {
         },
         ..PipelineConfig::default()
     };
-    let arch = presets::repro::intel_i7_6700();
     let nest = matmul(24);
-    let plain = Pipeline::new(&arch).run(&nest).unwrap();
-    let guarded = Pipeline::with_config(&arch, config).run(&nest).unwrap();
+    let plain = session(PipelineConfig::default()).run(&nest).unwrap();
+    let guarded = session(config).run(&nest).unwrap();
     assert_eq!(plain.report.rung, guarded.report.rung);
     assert_eq!(plain.schedule, guarded.schedule);
     let (p, g) = (plain.report.estimate.unwrap(), guarded.report.estimate.unwrap());
@@ -163,7 +159,7 @@ fn degraded_schedule_still_computes_the_reference_result() {
     // Even on the naive rung the outcome must be executable and correct.
     let faults = FaultPlan { fail_first_lowerings: 3, ..FaultPlan::default() };
     let nest = matmul(8);
-    let out = pipeline_with_faults(faults).run(&nest).unwrap();
+    let out = session_with_faults(faults).run(&nest).unwrap();
     let mut want = palo::exec::Buffers::for_nest(&nest, 7);
     let mut got = want.clone();
     run_reference(&nest, &mut want).unwrap();

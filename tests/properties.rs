@@ -11,7 +11,7 @@
 
 use palo::arch::presets;
 use palo::cachesim::{AccessKind, Hierarchy};
-use palo::core::{Pipeline, PipelineConfig};
+use palo::core::{PipelineConfig, Session};
 use palo::exec::{run, run_reference, Buffers};
 use palo::ir::{DType, LoopNest, NestBuilder};
 use palo::sched::Schedule;
@@ -86,7 +86,7 @@ proptest! {
         prop_assert_eq!(expect, got);
     }
 
-    /// Random nests pushed through `Pipeline::run_schedule` with random
+    /// Random nests pushed through `Session::run_schedule` with random
     /// directive soups — unknown loop names, zero split factors, absurd
     /// vector lane counts, double fusions. The pipeline must never
     /// panic, must always hand back an executable schedule (degrading as
@@ -112,8 +112,8 @@ proptest! {
             }
         }
         let config = PipelineConfig { simulate: false, ..PipelineConfig::default() };
-        let out = Pipeline::with_config(&presets::repro::intel_i7_6700(), config)
-            .run_schedule(&nest, &s)
+        let out = Session::new(&presets::repro::intel_i7_6700(), config)
+            .and_then(|session| session.run_schedule(&nest, &s))
             .expect("the ladder always bottoms out at an executable schedule");
 
         let mut expect = Buffers::for_nest(&nest, 11);

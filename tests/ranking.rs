@@ -49,15 +49,22 @@ fn proposed_cuts_doitgen_memory_traffic() {
     let p = traffic(Technique::Proposed);
     let b = traffic(Technique::Baseline);
     // At 48³ the whole problem is LLC-resident, so both are near the
-    // cold-miss floor; tiling may add bounded prefetch overfetch. The
-    // real separation at scale is asserted by the fig4 harness.
+    // cold-miss floor; tiling may add bounded prefetch overfetch. Past
+    // the LLC the separation shows as time, as the matmul test below
+    // asserts.
     assert!(p as f64 <= b as f64 * 1.3, "proposed traffic {p} should stay near baseline {b}");
 }
 
 #[test]
 fn nti_improves_spatial_kernels() {
     let arch = presets::repro::intel_i7_5930k();
-    for nest in [kernels::tp(512).unwrap(), kernels::copy(512).unwrap()] {
+    // Figure 6's four kernels: their outputs are written, never read.
+    for nest in [
+        kernels::tpm(512).unwrap(),
+        kernels::tp(512).unwrap(),
+        kernels::copy(512).unwrap(),
+        kernels::mask(512).unwrap(),
+    ] {
         let plain = ms(&nest, Technique::Proposed, &arch);
         let nti = ms(&nest, Technique::ProposedNti, &arch);
         assert!(nti < plain, "{}: NTI {nti} should improve over {plain}", nest.name());
@@ -75,12 +82,15 @@ fn nti_never_selected_for_accumulating_output() {
 #[test]
 fn proposed_at_least_matches_autoscheduler_on_matmul() {
     // 384² no longer fits the scaled LLC, so the deeper tiling analysis
-    // must pay off (at LLC-resident sizes the two are within noise).
+    // must pay off (at LLC-resident sizes the two are within noise), and
+    // the untiled baseline falls far behind (about 13× here).
     let nest = kernels::matmul(384).unwrap();
     let arch = presets::repro::intel_i7_6700();
     let p = ms(&nest, Technique::Proposed, &arch);
     let a = ms(&nest, Technique::AutoScheduler, &arch);
+    let b = ms(&nest, Technique::Baseline, &arch);
     assert!(p <= a * 1.02, "proposed {p} should be <= autoscheduler {a}");
+    assert!(p * 4.0 <= b, "proposed {p} should be at least 4x faster than baseline {b}");
 }
 
 #[test]
